@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .galois import FieldSpec
-from .matgf import MatrixGF, product_is_zero, row_reduce
+from .matgf import MatrixGF, row_reduce
 from .polyring import Polynomial
 
 
@@ -123,23 +123,25 @@ def in_hermitian_dual(code: CyclicCode, v) -> bool:
 
 
 def hermitian_dual_containing(code: CyclicCode) -> bool:
-    """Admissibility for the Hermitian construction: H H^dagger = 0."""
+    """Admissibility for the Hermitian construction (H H^dagger = 0).
+
+    The Hermitian dual is the cyclic code generated by the conjugated
+    dual generator, and it lies in the code iff g divides that generator.
+    """
     if code.field.m != 2:
         raise ValueError("Hermitian construction requires GF(4)")
-    if code.r == 0:
-        return True
-    return product_is_zero(code.H, code.H.conj_transpose())
+    return (code.dual_g.conjugate() % code.g).is_zero
 
 
 def css_dual_containing(c1: CyclicCode, c2: CyclicCode) -> bool:
-    """Admissibility for the CSS construction: dual of C2 contained in C1."""
+    """Admissibility for the CSS construction (H1 H2^T = 0): the dual of C2
+    lies in C1, or equivalently the dual of C1 lies in C2, which holds iff
+    the generator of C2 divides the dual generator of C1."""
     if c1.field != c2.field or c1.field.m != 1:
         raise ValueError("CSS construction requires a matching GF(2) pair")
     if c1.n != c2.n:
         raise ValueError("CSS construction requires equal lengths")
-    if c1.r == 0 or c2.r == 0:
-        return True
-    return product_is_zero(c1.H, c2.H.transpose())
+    return (c1.dual_g % c2.g).is_zero
 
 
 def shortened_check_matrix(code: CyclicCode, t: int) -> MatrixGF:

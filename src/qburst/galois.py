@@ -10,9 +10,10 @@ Addition is therefore XOR.  For GF(4) this gives the fixed encoding
 (w denotes a root of x^2 + x + 1), which is the encoding used throughout
 the tables and the generator-polynomial notation.
 
-Default moduli are the Conway polynomials for m in [1, 8]; larger fields
-(used internally as splitting fields) fall back to the lexicographically
-smallest irreducible polynomial of that degree.
+Supported extension degrees are 1..16.  Default moduli are the Conway
+polynomials for m in [1, 8] and the lexicographically smallest irreducible
+polynomial of each degree in [9, 16].  Every field multiplies through
+exp/log tables.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-# Conway polynomials (the representation used by most computer algebra
-# systems), keyed by extension degree.  Bit i is the coefficient of x^i.
+# Default modulus per extension degree: the Conway polynomials (the
+# representation used by most computer algebra systems) up to degree 8, the
+# lexicographically smallest irreducible polynomials beyond.  Bit i is the
+# coefficient of x^i.
 DEFAULT_MODULI: dict[int, int] = {
     1: 0b11,
     2: 0b111,
@@ -31,43 +34,20 @@ DEFAULT_MODULI: dict[int, int] = {
     6: 0b1011011,
     7: 0b10000011,
     8: 0b100011101,
+    9: 0x203,
+    10: 0x409,
+    11: 0x805,
+    12: 0x1009,
+    13: 0x201b,
+    14: 0x4021,
+    15: 0x8003,
+    16: 0x1002b,
 }
-
-# Lexicographically smallest irreducible polynomial of each degree, used
-# for splitting fields beyond the table-backed range.
-_SMALLEST_IRREDUCIBLE: dict[int, int] = {
-    1: 0x3, 2: 0x7, 3: 0xb, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83,
-    8: 0x11b, 9: 0x203, 10: 0x409, 11: 0x805, 12: 0x1009, 13: 0x201b,
-    14: 0x4021, 15: 0x8003, 16: 0x1002b, 17: 0x20009, 18: 0x40009,
-    19: 0x80027, 20: 0x100009, 21: 0x200005, 22: 0x400003, 23: 0x800021,
-    24: 0x100001b, 25: 0x2000009, 26: 0x400001b, 27: 0x8000027,
-    28: 0x10000003, 29: 0x20000005, 30: 0x40000003, 31: 0x80000009,
-    32: 0x10000008d, 33: 0x20000004b, 34: 0x40000001b, 35: 0x800000005,
-    36: 0x1000000035, 37: 0x200000003f, 38: 0x4000000063, 39: 0x8000000011,
-    40: 0x10000000039, 41: 0x20000000009, 42: 0x40000000027,
-    43: 0x80000000059, 44: 0x100000000021, 45: 0x20000000001b,
-    46: 0x400000000003, 47: 0x800000000021, 48: 0x100000000002d,
-}
-
-# Fields up to this degree get exp/log tables; larger ones multiply by
-# shift-and-reduce.
-_TABLE_DEGREE_LIMIT = 16
 
 
 def gf2_poly_degree(p: int) -> int:
     """Degree of a GF(2)[x] polynomial packed into an int (-1 for zero)."""
     return p.bit_length() - 1
-
-
-def gf2_poly_mul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2)[x] polynomials."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
 
 
 def gf2_poly_mod(a: int, mod: int) -> int:
@@ -78,26 +58,6 @@ def gf2_poly_mod(a: int, mod: int) -> int:
         a ^= mod << (ab - mb)
         ab = a.bit_length()
     return a
-
-
-def gf2_poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, gf2_poly_mod(a, b)
-    return a
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def find_reducible_factor(modulus: int) -> int | None:
@@ -117,26 +77,6 @@ def find_reducible_factor(modulus: int) -> int | None:
     return None
 
 
-def _is_irreducible_fast(modulus: int) -> bool:
-    """Rabin irreducibility test, used for large internal splitting fields."""
-    d = gf2_poly_degree(modulus)
-    if d < 1:
-        return False
-
-    def x_pow_2e(e: int) -> int:
-        r = gf2_poly_mod(2, modulus)
-        for _ in range(e):
-            r = gf2_poly_mod(gf2_poly_mul(r, r), modulus)
-        return r
-
-    if x_pow_2e(d) != gf2_poly_mod(2, modulus):
-        return False
-    for p in _prime_factors(d):
-        if gf2_poly_gcd(x_pow_2e(d // p) ^ 2, modulus) != 1:
-            return False
-    return True
-
-
 class FieldSpec:
     """GF(2^m) with a fixed irreducible modulus.
 
@@ -144,34 +84,22 @@ class FieldSpec:
     integer-encoded elements, so instances are safe to share freely.
     """
 
-    def __init__(self, m: int, modulus: int | None = None, _trusted: bool = False):
-        if m < 1:
-            raise ValueError(f"extension degree must be >= 1, got {m}")
+    def __init__(self, m: int, modulus: int | None = None):
+        if not 1 <= m <= 16:
+            raise ValueError(f"supported extension degrees are 1..16, got {m}")
         if modulus is None:
-            modulus = DEFAULT_MODULI.get(m) or _SMALLEST_IRREDUCIBLE.get(m)
-            if modulus is None:
-                raise ValueError(f"no default modulus shipped for m={m}")
+            modulus = DEFAULT_MODULI[m]
         if gf2_poly_degree(modulus) != m:
             raise ValueError(
                 f"modulus degree {gf2_poly_degree(modulus)} does not match m={m}"
             )
-        if not _trusted:
-            if m <= _TABLE_DEGREE_LIMIT:
-                factor = find_reducible_factor(modulus)
-                if factor is not None:
-                    raise ValueError(
-                        f"modulus {modulus:#x} is reducible: divisible by {factor:#x}"
-                    )
-            elif not _is_irreducible_fast(modulus):
-                raise ValueError(f"modulus {modulus:#x} is reducible")
+        factor = find_reducible_factor(modulus)
+        if factor is not None:
+            raise ValueError(f"modulus {modulus:#x} is reducible: divisible by {factor:#x}")
         self.m = m
         self.modulus = modulus
         self.q = 1 << m
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self.alpha = 1 if m == 1 else 2  # replaced below if x is not primitive
-        if m > 1 and m <= _TABLE_DEGREE_LIMIT:
-            self._build_tables()
+        self._build_tables()
 
     # -- construction helpers ------------------------------------------------
 
@@ -188,20 +116,11 @@ class FieldSpec:
                 a ^= mod
         return r
 
-    def _element_order(self, a: int) -> int:
-        n = self.q - 1
-        order = n
-        for p in _prime_factors(n):
-            while order % p == 0 and self.pow(a, order // p) == 1:
-                order //= p
-        return order
-
     def _build_tables(self) -> None:
         # Find a generator of the multiplicative group; x itself works for
-        # every shipped Conway modulus.
+        # every shipped Conway modulus (and 1 generates the group of GF(2)).
         n = self.q - 1
-        alpha = 2
-        while True:
+        for alpha in range(1, self.q):
             order = 1
             v = alpha
             while v != 1:
@@ -211,9 +130,8 @@ class FieldSpec:
                     raise AssertionError("element order exceeded group order")
             if order == n:
                 break
-            alpha += 1
-            if alpha >= self.q:
-                raise AssertionError("no primitive element found")
+        else:
+            raise AssertionError("no primitive element found")
         self.alpha = alpha
         exp = [1] * (2 * n)
         log = [0] * self.q
@@ -243,40 +161,26 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_shift(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self._exp is not None:
-            return self._exp[(self.q - 1) - self._log[a]] if a != 1 else 1
-        return self.pow(a, self.q - 2)
+        return self._exp[(self.q - 1) - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise ZeroDivisionError("division by 0")
         if a == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] - self._log[b] + (self.q - 1)]
-        return self.mul(a, self.inv(b))
+        return self._exp[self._log[a] - self._log[b] + (self.q - 1)]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 0 if e else 1
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.q - 1)]
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def conj(self, a: int) -> int:
         """Conjugation x -> x^2 of GF(4) over GF(2) (identity on GF(2))."""
@@ -320,8 +224,6 @@ class FieldSpec:
 @lru_cache(maxsize=None)
 def field_make(m: int, modulus: int | None = None) -> FieldSpec:
     """Construct (and cache) GF(2^m) with a verified irreducible modulus."""
-    if not 1 <= m <= 16:
-        raise ValueError(f"supported extension degrees are 1..16, got {m}")
     return FieldSpec(m, modulus)
 
 
@@ -369,17 +271,6 @@ class FieldElement:
 
     def __bool__(self) -> bool:
         return self.value != 0
-
-
-def arith(a: FieldElement, b: FieldElement, kind: str) -> FieldElement:
-    """Binary field operation dispatch: kind in {'add', 'mul', 'div'}."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown operation {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Polynomials over GF(2^m), cyclotomic cosets, and divisors of x^n - 1.
 
-The factorization of x^n - 1 is built constructively: each cyclotomic
-coset of q modulo n yields one irreducible factor, computed as the
-minimal polynomial of beta^j over the base field, where beta is an n-th
-root of unity in the splitting field.  Every candidate generator
-polynomial of a cyclic code of length n is then a subset product of
-these factors.
+x^n - 1 (n coprime to q) is factored over the base field itself by
+Berlekamp splitting.  The coset sums b_C = sum_{j in C} x^j, one per
+cyclotomic coset C of q modulo n, satisfy b_C^q = b_C modulo x^n - 1, so
+each reduces to a constant of GF(q) modulo every irreducible factor, and
+together they tell the factors apart.  Splitting every partial factor p
+into the gcds of p with b_C - c, c in GF(q), therefore ends with one part
+per coset: the irreducible factors.  Every candidate generator polynomial
+of a cyclic code of length n is then a subset product of these factors.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator
 
-from .galois import FieldSpec, _SMALLEST_IRREDUCIBLE, _prime_factors
+from .galois import FieldSpec
 
 
 @dataclass(frozen=True)
@@ -175,29 +177,6 @@ class Polynomial:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def poly_arith(a: Polynomial, b: Polynomial, kind: str):
-    """Dispatch helper: kind in {'add', 'mul', 'divmod'}."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "divmod":
-        return divmod(a, b)
-    raise ValueError(f"unknown operation {kind!r}")
-
-
-def multiplicative_order(q: int, n: int) -> int:
-    if gcd(q, n) != 1:
-        raise ValueError(f"gcd({q}, {n}) != 1")
-    if n == 1:
-        return 1
-    order, v = 1, q % n
-    while v != 1:
-        v = (v * q) % n
-        order += 1
-    return order
-
-
 def cyclotomic_cosets(n: int, q: int) -> list[list[int]]:
     """q-cyclotomic cosets {i, iq, iq^2, ...} mod n, sorted by minimum."""
     if gcd(n, q) != 1:
@@ -217,118 +196,31 @@ def cyclotomic_cosets(n: int, q: int) -> list[list[int]]:
     return cosets
 
 
-class _SplittingField:
-    """An n-th root of unity together with projection onto the base field."""
-
-    def __init__(self, field: FieldSpec, n: int):
-        q = field.q
-        order = multiplicative_order(q, n)
-        if order == 1:
-            big = field
-            embed = {b: b for b in range(q)}
-        else:
-            degree = field.m * order
-            if degree <= 16:
-                big = FieldSpec(degree)
-            else:
-                big = FieldSpec(degree, _SMALLEST_IRREDUCIBLE[degree], _trusted=True)
-            embed = self._subfield_embedding(field, big)
-        self.field = field
-        self.big = big
-        self.project = {v: k for k, v in embed.items()}
-        self.beta = self._root_of_unity(big, n)
-
-    @staticmethod
-    def _subfield_embedding(field: FieldSpec, big: FieldSpec) -> dict[int, int]:
-        """Map base-field ints to big-field ints via a root of the base modulus."""
-        if field.m == 1:
-            return {0: 0, 1: 1}
-        Q = big.q
-        q = field.q
-        # Elements of order dividing q-1 form the embedded subfield's units;
-        # scan them for a root of the base modulus.
-        gen = None
-        for y in range(2, Q):
-            c = big.pow(y, (Q - 1) // (q - 1))
-            if c == 1:
-                continue
-            order = q - 1
-            ok = True
-            for p in _prime_factors(q - 1):
-                if big.pow(c, (q - 1) // p) == 1:
-                    ok = False
-                    break
-            if ok:
-                gen = c
-                break
-        if gen is None:
-            raise AssertionError("subfield generator not found")
-        bits = [(field.modulus >> i) & 1 for i in range(field.m + 1)]
-        root = None
-        v = 1
-        candidates = []
-        for _ in range(q - 1):
-            v = big.mul(v, gen) if candidates else gen
-            candidates.append(v)
-        for s in sorted(set(candidates)):
-            acc = 0
-            p = 1
-            for bit in bits:
-                if bit:
-                    acc ^= p
-                p = big.mul(p, s)
-            if acc == 0:
-                root = s
-                break
-        if root is None:
-            raise AssertionError("base modulus has no root in the splitting field")
-        embed = {}
-        for b in range(q):
-            acc = 0
-            p = 1
-            for i in range(field.m):
-                if (b >> i) & 1:
-                    acc ^= p
-                p = big.mul(p, root)
-            embed[b] = acc
-        return embed
-
-    @staticmethod
-    def _root_of_unity(big: FieldSpec, n: int) -> int:
-        Q = big.q
-        if (Q - 1) % n != 0:
-            raise AssertionError("splitting field does not contain n-th roots")
-        primes = _prime_factors(n)
-        for y in range(2, Q):
-            b = big.pow(y, (Q - 1) // n)
-            if b == 1:
-                continue
-            if all(big.pow(b, n // p) != 1 for p in primes):
-                return b
-        raise AssertionError(f"no element of order {n} found")
+def _monic_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
 
 
 @lru_cache(maxsize=None)
 def _factorization(n: int, field: FieldSpec) -> tuple[Polynomial, ...]:
-    if gcd(n, field.q) != 1:
-        raise ValueError(f"gcd(n={n}, q={field.q}) must be 1")
-    if n == 1:
-        return (Polynomial.make(field, (1, 1)),)
-    split = _SplittingField(field, n)
-    big, beta, project = split.big, split.beta, split.project
-    factors = []
-    for coset in cyclotomic_cosets(n, field.q):
-        poly = Polynomial.one(big)
-        for j in coset:
-            root = big.pow(beta, j)
-            poly = poly * Polynomial.make(big, (root, 1))
-        try:
-            coeffs = tuple(project[c] for c in poly.coeffs)
-        except KeyError as exc:  # pragma: no cover - would indicate a bug
-            raise AssertionError("minimal polynomial did not project down") from exc
-        factors.append(Polynomial.make(field, coeffs))
-    factors.sort(key=lambda p: (p.degree, p.coeffs))
-    return tuple(factors)
+    cosets = cyclotomic_cosets(n, field.q)
+    parts = [Polynomial.xn_minus_1(field, n)]
+    for coset in cosets:
+        if len(parts) == len(cosets):
+            break
+        members = set(coset)
+        b = Polynomial.make(field, [int(j in members) for j in range(n)])
+        split = []
+        for p in parts:
+            residue = b % p
+            for c in field.elements():
+                d = _monic_gcd(p, residue - Polynomial.x_pow(field, 0, c))
+                if d.degree > 0:
+                    split.append(d)
+        parts = split
+    parts.sort(key=lambda p: (p.degree, p.coeffs))
+    return tuple(parts)
 
 
 def factor_xn_minus_1(n: int, field: FieldSpec) -> list[Polynomial]:

@@ -265,7 +265,7 @@ def qcc_burst_limit_css(c1: CyclicCode, c2: CyclicCode | None = None) -> QccRepo
     """
     if c2 is None:
         c2 = c1
-    if not css_dual_containing(c1, c2) or not css_dual_containing(c2, c1):
+    if not css_dual_containing(c1, c2):
         raise NotDualContaining(f"{c1!r} / {c2!r}: dual containment fails")
     lx, ell0x, fx = _component_sweep(c1, "css", c2)
     lz, ell0z, fz = _component_sweep(c2, "css", c1)

@@ -329,6 +329,8 @@ def burst_census(
     n = code.n
     if lmax is None:
         lmax = (n - K) // 2
+    if not 1 <= lmax <= n:
+        raise ValueError(f"lmax must be in 1..{n}, got {lmax}")
     total_expected = burst_census_size(n, lmax)
     if total_expected > guard:
         raise ValueError(

@@ -93,6 +93,8 @@ def rs_make(
     k = (n + K_quantum) // 2
     if not 0 < k <= n:
         raise ValueError(f"classical dimension {k} out of range for n={n}")
+    if (n - k) // 2 < 1:
+        raise ValueError(f"K={K_quantum} leaves hbar < 1: need K <= n - 4 = {n - 4}")
     if n > 2 * k:
         raise NotDualContaining(f"n={n} > 2k={2 * k}: dual containment impossible")
     g = Polynomial.one(field)

@@ -122,6 +122,30 @@ def test_css_dual_containing():
     assert not css_dual_containing(parity, parity)
 
 
+def _divisor_codes(n, field):
+    return [code_from_generator(n, g) for g in divisor_generators(n, field)]
+
+
+def test_dual_containing_divisibility_matches_matrix_product():
+    # Oracles: H H^dagger = 0 (Hermitian) and H1 H2^T = 0 (CSS), over every
+    # divisor of x^n - 1, including g = 1 and g = x^n - 1.
+    for n in range(1, 22, 2):
+        for code in _divisor_codes(n, GF4):
+            assert hermitian_dual_containing(code) == product_is_zero(
+                code.H, code.H.conj_transpose()
+            ), code
+        for code in _divisor_codes(n, GF2):
+            assert css_dual_containing(code, code) == product_is_zero(
+                code.H, code.H.transpose()
+            ), code
+    for n in range(1, 16, 2):
+        codes = _divisor_codes(n, GF2)
+        for c1, c2 in product(codes, repeat=2):
+            admitted = css_dual_containing(c1, c2)
+            assert admitted == product_is_zero(c1.H, c2.H.transpose()), (c1, c2)
+            assert admitted == css_dual_containing(c2, c1), (c1, c2)
+
+
 def test_dual_membership():
     # rows of H span the Euclidean dual; their conjugates the Hermitian dual
     for row in QUAD5.H.data:

@@ -9,8 +9,6 @@ from qburst.galois import (
     OMEGA,
     OMEGA_BAR,
     FieldElement,
-    FieldSpec,
-    arith,
     field_make,
     self_dual_basis,
 )
@@ -109,7 +107,7 @@ def test_field_element_operators():
     assert (a * b).value == 1
     assert (a + b).value == 1
     assert (a / a).value == 1
-    assert arith(a, b, "mul").value == 1
+    assert (a + b) - b == a
     with pytest.raises(ValueError):
         a + FieldElement(1, GF2)
     with pytest.raises(ZeroDivisionError):

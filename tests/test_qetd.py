@@ -139,6 +139,13 @@ def test_census_respects_lmax():
     assert stats.exact == 15  # single errors decode exactly
 
 
+def test_census_rejects_lmax_out_of_range():
+    for lmax in (-1, 0, QUAD5.n + 1):
+        with pytest.raises(ValueError, match="lmax"):
+            burst_census(QUAD5, "hermitian", lmax=lmax)
+    assert burst_census(QUAD5, "hermitian", lmax=QUAD5.n).total == burst_census_size(5, 5)
+
+
 def test_census_guard():
     with pytest.raises(ValueError, match="guard"):
         burst_census(CODE13, "hermitian", guard=100)

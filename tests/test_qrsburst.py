@@ -17,6 +17,14 @@ from qburst.qrsburst import (
 )
 
 
+def test_rs_make_rejects_hbar_below_one():
+    with pytest.raises(ValueError, match="hbar"):
+        rs_make(3, 7)  # k = n = 7: g = 1, no check rows at all
+    with pytest.raises(ValueError, match="hbar"):
+        rs_make(6, 61)  # hbar = 0 would give a negative lower bound
+    assert rs_make(6, 59).hbar == 1
+
+
 def test_rs_make_examples():
     rs = rs_make(4, 5)
     assert (rs.n, rs.k_classical, rs.hbar, rs.K) == (15, 10, 2, 5)

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qburst.galois import GF2, GF4
-from qburst.polyring import Polynomial
+from qburst.polyring import Polynomial, divisor_generators
 from qburst.searchcli import (
     SearchJob,
     build_parser,
@@ -205,3 +209,148 @@ def test_bundled_fixtures_tables_1_and_2(tmp_path):
     lines, unexpected = verify_tables(tmp_path)
     assert unexpected == 0
     assert sum(1 for l in lines if l.startswith("ok")) >= 50
+
+
+def test_cli_search_lengths_with_high_degree_factors(capsys):
+    # x^53 - 1, x^59 - 1 and x^61 - 1 have GF(2) factors of degree 52, 58, 60.
+    assert main(["search", "--field", "gf2", "--n-min", "53", "--n-max", "61"]) == 0
+    json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rs-limit", "--m", "3", "--kq", "7"],  # k = n: g = 1, no check rows
+        ["rs-limit", "--m", "6", "--kq", "61"],  # hbar = 0
+        ["qetd-sim", "--n", "7", "--field", "gf2", "--gen", "(1^3 1^1 1^0)", "--lmax", "0"],
+        ["qetd-sim", "--n", "7", "--field", "gf2", "--gen", "(1^3 1^1 1^0)", "--lmax", "9"],
+    ],
+)
+def test_cli_rejects_degenerate_parameters(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# CLI contract: any argv that parses ends with exit 0 or 1 (2 only for a
+# fixture discrepancy) and at most one line on stderr, never a traceback.
+# ---------------------------------------------------------------------------
+
+
+def _run_main(argv) -> tuple[int, str]:
+    out = io.TextIOWrapper(io.BytesIO())  # search writes to sys.stdout.buffer
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _assert_contract(argv, allowed=(0, 1)):
+    rc, err = _run_main(argv)
+    assert rc in allowed, (argv, rc, err)
+    assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), (argv, err)
+    assert (rc == 1) == err.startswith("error:"), (argv, rc, err)
+
+
+_FIELD = st.sampled_from(["gf2", "gf4"])
+_LENGTH = st.integers(-1, 25)
+_MALFORMED = st.text(alphabet="()^0123 ", max_size=10)
+
+
+@st.composite
+def _generator_text(draw, n: int, field: str):
+    """A divisor of x^n - 1 in table notation, or an arbitrary notation."""
+    f = GF4 if field == "gf4" else GF2
+    if n >= 1 and n % 2 == 1 and draw(st.booleans()):
+        divisors = list(divisor_generators(n, f))
+        return emit_generator(draw(st.sampled_from(divisors)))
+    coeffs = draw(st.lists(st.integers(0, f.q - 1), min_size=1, max_size=max(n, 0) + 2))
+    if any(coeffs):
+        return emit_generator(Polynomial.make(f, coeffs))
+    return draw(_MALFORMED)
+
+
+_CONTRACT = settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@_CONTRACT
+@given(st.data())
+def test_cli_contract_burst_limit(data):
+    n, field = data.draw(_LENGTH), data.draw(_FIELD)
+    argv = ["burst-limit", "--n", str(n), "--field", field]
+    argv += ["--gen", data.draw(_generator_text(n, field))]
+    if data.draw(st.booleans()):
+        argv += ["--gen2", data.draw(_generator_text(n, field))]
+    _assert_contract(argv)
+
+
+@_CONTRACT
+@example(3, 7)
+@example(6, 61)
+@given(st.integers(-1, 4), st.integers(-20, 20))
+def test_cli_contract_rs_limit(m, kq):
+    _assert_contract(["rs-limit", "--m", str(m), "--kq", str(kq)])
+
+
+@_CONTRACT
+@given(st.data())
+def test_cli_contract_qetd_sim(data):
+    # Lengths stay small: a census decodes every burst up to lmax.
+    n, field = data.draw(st.integers(-1, 7)), data.draw(_FIELD)
+    argv = ["qetd-sim", "--n", str(n), "--field", field]
+    argv += ["--gen", data.draw(_generator_text(n, field))]
+    if data.draw(st.booleans()):
+        argv += ["--lmax", str(data.draw(st.integers(-1, n + 2)))]
+    _assert_contract(argv)
+
+
+@_CONTRACT
+@given(
+    _LENGTH,
+    _LENGTH,
+    _FIELD,
+    st.one_of(st.none(), st.integers(-1, 3)),
+    st.one_of(st.none(), st.integers(-1, 2)),
+    st.sampled_from(["json", "csv"]),
+)
+def test_cli_contract_search(n_min, n_max, field, delta_max, jobs, fmt):
+    argv = ["search", "--n-min", str(n_min), "--n-max", str(n_max), "--field", field]
+    argv += ["--format", fmt, "--jobs", str(1 if jobs is None else jobs)]
+    if delta_max is not None:
+        argv += ["--delta-max", str(delta_max)]
+    _assert_contract(argv)
+
+
+_FIXTURE_ROWS = {
+    "table1.tsv": [
+        "hermitian\t[[15,3]]\t3\t0\t(1^6 2^3 1^0)\t-",
+        "hermitian\t[[15,3]]\t4\t0\t(1^6 2^3 1^0)\t-",
+        "css\t[[7,1]]\t1\t0\t(1^3 1^1 1^0)\t-",
+        "hermitian\t[[15,3]]\t3",
+        "hermitian\tbad\t3\t0\t(1^6 2^3 1^0)\t-",
+    ],
+    "table3.tsv": ["4\t15\t5\t8\t5\t10\t-", "3\t7\t7\t0\t0\t0\t-", "x\t7\t7\t0\t0\t0\t-"],
+    "table4.tsv": [
+        "hermitian\t[[5,1]]\t15\t15\t51\t(1^2 2^1 1^0)\t-",
+        "css\t[[7,1]]\t1\t1\t1\t(1^1 1^0)\t-",
+    ],
+}
+
+
+@_CONTRACT
+@given(st.fixed_dictionaries(
+    {name: st.lists(st.sampled_from(rows), max_size=2) for name, rows in _FIXTURE_ROWS.items()}
+))
+def test_cli_contract_verify_tables(tables):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, rows in tables.items():
+            if rows:
+                Path(tmp, name).write_text("".join(row + "\n" for row in rows))
+        _assert_contract(["verify-tables", "--fixtures", tmp], allowed=(0, 1, 2))
