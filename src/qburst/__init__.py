@@ -5,7 +5,6 @@ from .cycliccode import (
     BurstPattern,
     CyclicCode,
     burst_length,
-    classical_burst_limit,
     code_from_generator,
     contains,
     css_dual_containing,
@@ -24,21 +23,19 @@ from .galois import (
 from .matgf import MatrixGF, ReducedForm, conj_transpose, product_is_zero, row_reduce
 from .polyring import Polynomial, cyclotomic_cosets, divisor_generators, factor_xn_minus_1
 from .qccburst import (
-    DependencyPairSet,
     NotDualContaining,
     QccReport,
-    WindowBlock,
     brute_force_limit,
-    build_window,
+    classical_burst_limit,
     degeneracy_check,
-    dependency_pairs,
     qcc_burst_limit,
     qcc_burst_limit_css,
     qcc_burst_limit_hermitian,
     reiger_classification,
     reiger_delta,
+    window_pairs,
 )
-from .qetd import QetdState, QetdStats, burst_census, classify, css_decode, trap_decode
+from .qetd import QetdState, QetdStats, burst_census, css_decode, trap_decode
 from .qrsburst import (
     RsCode,
     RsReport,

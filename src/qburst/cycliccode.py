@@ -1,5 +1,6 @@
 """Cyclic codes: structured generator/parity-check matrices, syndromes,
-membership, dual-containing tests, and the classical burst limit.
+membership, dual-containing tests, and the enumeration and count of
+burst patterns.
 
 Conventions (0-based positions throughout):
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .galois import FieldSpec
-from .matgf import MatrixGF, row_reduce
+from .matgf import MatrixGF
 from .polyring import Polynomial
 
 
@@ -144,40 +145,6 @@ def css_dual_containing(c1: CyclicCode, c2: CyclicCode) -> bool:
     return (c1.dual_g % c2.g).is_zero
 
 
-def shortened_check_matrix(code: CyclicCode, t: int) -> MatrixGF:
-    """H with its last t rows and last t columns deleted ((r-t) x (n-t))."""
-    if not 0 <= t <= code.r:
-        raise ValueError(f"t must be in [0, r={code.r}]")
-    return code.H.submatrix(code.r - t, 0, code.n - t)
-
-
-def classical_burst_limit(code: CyclicCode) -> int:
-    """Largest b such that every b consecutive columns of the b-shortened
-    check matrix are linearly independent; 0 when single errors collide."""
-    if code.r < 1:
-        return 0
-    best = 0
-    for b in range(1, min(code.r, code.n // 2) + 1):
-        m = shortened_check_matrix(code, b)
-        if m.rows < b:
-            break
-        ok = True
-        for start in range(0, code.n - 2 * b + 1):
-            block = MatrixGF(
-                code.field,
-                m.rows,
-                b,
-                tuple(row[start : start + b] for row in m.data),
-            )
-            if row_reduce(block).rank < b:
-                ok = False
-                break
-        if not ok:
-            break
-        best = b
-    return best
-
-
 @dataclass(frozen=True)
 class BurstPattern:
     """An error confined to consecutive positions, nonzero at both ends.
@@ -225,3 +192,33 @@ def burst_length(v) -> int:
     if not support:
         return 0
     return support[-1] - support[0] + 1
+
+
+def _burst_patterns(q: int, lmax: int):
+    """Digit tuples over GF(q), nonzero at both ends, of every length
+    1..lmax; length by length, and depth-first within a length."""
+    nonzero = range(1, q)
+    for length in range(1, lmax + 1):
+        if length == 1:
+            for c in nonzero:
+                yield (c,)
+            continue
+        stack: list[tuple[int, ...]] = [(c,) for c in nonzero]
+        while stack:
+            prefix = stack.pop()
+            if len(prefix) == length - 1:
+                for c in nonzero:
+                    yield prefix + (c,)
+                continue
+            for c in range(q):
+                stack.append(prefix + (c,))
+
+
+def burst_count(n: int, q: int, lmax: int) -> int:
+    """Closed-form count of the nonzero bursts over GF(q) of length 1..lmax
+    that fit in n positions without wrapping around."""
+    total = 0
+    for length in range(1, min(lmax, n) + 1):
+        ends = q - 1 if length == 1 else (q - 1) ** 2 * q ** (length - 2)
+        total += (n - length + 1) * ends
+    return total

@@ -10,7 +10,9 @@ quantum Reiger bound caps the sweep at floor(r/2).
 
 The nondegenerate limit ell0 is tracked in the same sweep as the last
 length before any rank-deficient window (or single-error collision)
-appears at all.
+appears at all.  `window_pairs` is the one window kernel: the classical
+limit (every window of full rank) and the binary-image limit of quantum
+Reed-Solomon codes (`qrsburst`, at width hbar + 1) use it too.
 
 An exhaustive pair enumeration over canonical burst patterns provides an
 independent oracle for small lengths.
@@ -22,60 +24,20 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cycliccode import (
-    BurstPattern,
     CyclicCode,
-    burst_length,
+    _burst_patterns,
+    burst_count,
     css_dual_containing,
     hermitian_dual_containing,
     in_euclidean_dual,
     in_hermitian_dual,
-    shortened_check_matrix,
     syndrome,
 )
-from .matgf import MatrixGF, row_reduce
+from .matgf import row_reduce
 
 
 class NotDualContaining(ValueError):
     """The classical code(s) do not admit the quantum construction."""
-
-
-@dataclass(frozen=True)
-class WindowBlock:
-    """ell consecutive columns of the ell-shortened check matrix."""
-
-    code: CyclicCode
-    ell: int
-    start: int
-    block: MatrixGF
-
-    @property
-    def positions(self) -> range:
-        return range(self.start, self.start + self.ell)
-
-
-def build_window(code: CyclicCode, ell: int, start: int) -> WindowBlock:
-    r, n = code.r, code.n
-    if not 1 <= ell <= r // 2:
-        raise ValueError(f"window length must be in [1, {r // 2}], got {ell}")
-    if not 0 <= start <= n - 2 * ell:
-        raise ValueError(f"window start must be in [0, {n - 2 * ell}], got {start}")
-    m = shortened_check_matrix(code, ell)
-    block = MatrixGF(
-        code.field, m.rows, ell, tuple(row[start : start + ell] for row in m.data)
-    )
-    return WindowBlock(code, ell, start, block)
-
-
-@dataclass(frozen=True)
-class DependencyPairSet:
-    """Error pairs (e, f) with equal syndromes forced by a deficient window.
-
-    e is supported inside the window, f inside the last ell positions;
-    e + f is a codeword by construction.
-    """
-
-    window: WindowBlock
-    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def solve_tail(code: CyclicCode, synd: tuple[int, ...], width: int) -> tuple[int, ...]:
@@ -102,27 +64,44 @@ def solve_tail(code: CyclicCode, synd: tuple[int, ...], width: int) -> tuple[int
     return tuple(sol)
 
 
-def dependency_pairs(code: CyclicCode, window: WindowBlock) -> DependencyPairSet:
-    """The pair set of a window: one pair per free column of its reduction."""
-    n, r, ell = code.n, code.r, window.ell
-    reduced = row_reduce(window.block)
+def window_pairs(code: CyclicCode, width: int, start: int):
+    """Rank and dependency pairs of the `width` consecutive columns at
+    `start` of the width-shortened check matrix (H without its last
+    `width` rows and columns).
+
+    Returns (rank, pairs) with one pair (e, f) per free column of the
+    window's reduction: e is supported inside the window, f inside the
+    last `width` positions, and e + f is a codeword, so the two errors
+    have equal syndromes.  A full-rank window has no pairs.
+    """
+    n, r = code.n, code.r
+    if not 1 <= width <= r:
+        raise ValueError(f"window width must be in [1, {r}], got {width}")
+    if not 0 <= start <= n - 2 * width:
+        raise ValueError(f"window start must be in [0, {n - 2 * width}], got {start}")
+    reduced = row_reduce(code.H.submatrix(r - width, start, start + width))
     pairs = []
-    f = code.field
     for free_col in reduced.free_cols:
         e = [0] * n
-        combo = reduced.combination[free_col]
-        for coeff, pivot_col in zip(combo, reduced.pivot_cols):
-            e[window.start + pivot_col] = coeff
-        e[window.start + free_col] = 1
+        for coeff, pivot_col in zip(reduced.combination[free_col], reduced.pivot_cols):
+            e[start + pivot_col] = coeff
+        e[start + free_col] = 1
         s = code.H.matvec(e)
-        if any(s[:r - ell]):
+        if any(s[: r - width]):
             raise AssertionError("window pair has syndrome outside the tail")
-        tail = solve_tail(code, s, ell)
-        fvec = [0] * n
-        for u, c in enumerate(tail):
-            fvec[n - ell + u] = c
-        pairs.append((tuple(e), tuple(fvec)))
-    return DependencyPairSet(window, tuple(pairs))
+        fvec = (0,) * (n - width) + solve_tail(code, s, width)
+        pairs.append((tuple(e), fvec))
+    return reduced.rank, tuple(pairs)
+
+
+def classical_burst_limit(code: CyclicCode) -> int:
+    """Largest b such that every b consecutive columns of the b-shortened
+    check matrix are linearly independent; 0 when single errors collide."""
+    cap = min(code.r, code.n) // 2
+    for b in range(1, cap + 1):
+        if any(window_pairs(code, b, start)[0] < b for start in range(code.n - 2 * b + 1)):
+            return b - 1
+    return cap
 
 
 def degeneracy_check(
@@ -142,10 +121,15 @@ def degeneracy_check(
     if syndrome(code, e) != syndrome(code, f):
         raise ValueError("degeneracy is only defined for equal-syndrome pairs")
     diff = tuple(a ^ b for a, b in zip(e, f))
+    return _harmless(code, diff, mode, dual_of if dual_of is not None else code)
+
+
+def _harmless(code: CyclicCode, diff, mode: str, dual_of: CyclicCode) -> bool:
+    """Whether the difference of two confusable errors is a stabilizer."""
     if mode == "hermitian":
         return in_hermitian_dual(code, diff)
     if mode == "css":
-        return in_euclidean_dual(dual_of if dual_of is not None else code, diff)
+        return in_euclidean_dual(dual_of, diff)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -207,7 +191,6 @@ def _component_sweep(code: CyclicCode, mode: str, dual_of: CyclicCode):
     cap = r // 2
     flags: list[str] = []
     ell0: int | None = None
-    f = code.field
 
     for j in range(n):
         if all(v == 0 for v in code.H.column(j)):
@@ -224,18 +207,13 @@ def _component_sweep(code: CyclicCode, mode: str, dual_of: CyclicCode):
             return 0, 0, tuple(flags)
 
     for ell in range(1, cap + 1):
-        m = shortened_check_matrix(code, ell)
         for start in range(0, n - 2 * ell + 1):
-            block = MatrixGF(
-                f, m.rows, ell, tuple(row[start : start + ell] for row in m.data)
-            )
-            reduced = row_reduce(block)
-            if reduced.rank == ell:
+            rank, pairs = window_pairs(code, ell, start)
+            if rank == ell:
                 continue
             if ell0 is None:
                 ell0 = ell - 1
-            window = WindowBlock(code, ell, start, block)
-            for e, fvec in dependency_pairs(code, window).pairs:
+            for e, fvec in pairs:
                 if not degeneracy_check(code, e, fvec, mode, dual_of):
                     return ell - 1, min(ell0, ell - 1), tuple(flags)
     flags.append("cap-limited")
@@ -296,37 +274,6 @@ def qcc_burst_limit(codes, construction: str) -> QccReport:
 # ---------------------------------------------------------------------------
 
 
-def _all_bursts(n: int, q: int, max_len: int):
-    """Canonical burst patterns (including the zero burst) as vectors."""
-    yield (0,) * n, 0
-    nonzero = range(1, q)
-    for length in range(1, max_len + 1):
-        for start in range(0, n - length + 1):
-            if length == 1:
-                for c in nonzero:
-                    yield BurstPattern(start, (c,)).as_vector(n), 1
-                continue
-            interior = length - 2
-            for first in nonzero:
-                for last in nonzero:
-                    stack = [(first,)]
-                    while stack:
-                        prefix = stack.pop()
-                        if len(prefix) == interior + 1:
-                            vec = BurstPattern(start, prefix + (last,)).as_vector(n)
-                            yield vec, length
-                            continue
-                        for c in range(q):
-                            stack.append(prefix + (c,))
-
-
-def _burst_count(n: int, q: int, max_len: int) -> int:
-    total = 1 + n * (q - 1)
-    for length in range(2, max_len + 1):
-        total += (n - length + 1) * (q - 1) ** 2 * q ** (length - 2)
-    return total
-
-
 def brute_force_limit(
     codes,
     construction: str = "hermitian",
@@ -365,11 +312,17 @@ def brute_force_limit(
 
     for code, dual_of, mode in code_list:
         q = code.field.q
-        if _burst_count(n, q, cap) > guard:
+        if burst_count(n, q, cap) >= guard:
             raise ValueError("enumeration guard exceeded; reduce cap or n")
-        buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-        for vec, length in _all_bursts(n, q, cap):
-            buckets.setdefault(syndrome(code, vec), []).append((vec, length))
+        zero = (0,) * n
+        buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {
+            (0,) * code.r: [(zero, 0)]
+        }
+        for pattern in _burst_patterns(q, cap):
+            length = len(pattern)
+            for start in range(n - length + 1):
+                vec = zero[:start] + pattern + zero[start + length :]
+                buckets.setdefault(syndrome(code, vec), []).append((vec, length))
         for bucket in buckets.values():
             if len(bucket) < 2:
                 continue
@@ -385,11 +338,7 @@ def brute_force_limit(
                     if not any(diff):
                         continue
                     best_any = min(best_any, worst)
-                    if mode == "hermitian":
-                        harmless = in_hermitian_dual(code, diff)
-                    else:
-                        harmless = in_euclidean_dual(dual_of, diff)
-                    if not harmless:
+                    if not _harmless(code, diff, mode, dual_of):
                         best_nondeg = min(best_nondeg, worst)
 
     return min(best_nondeg - 1, cap), min(best_any - 1, cap)

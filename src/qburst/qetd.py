@@ -21,13 +21,15 @@ from dataclasses import dataclass
 
 from .cycliccode import (
     CyclicCode,
+    _burst_patterns,
+    burst_count,
     code_from_generator,
-    in_euclidean_dual,
-    in_hermitian_dual,
-    syndrome,
+    css_dual_containing,
+    hermitian_dual_containing,
 )
 from .galois import GF4
 from .polyring import Polynomial
+from .qccburst import NotDualContaining
 
 # ---------------------------------------------------------------------------
 # Trap search and decoding (public, polynomial-level API)
@@ -93,30 +95,6 @@ def trap_decode(S: Polynomial, code: CyclicCode) -> tuple[int, ...]:
     return tuple(out)
 
 
-def classify(
-    code: CyclicCode,
-    e,
-    ehat,
-    mode: str = "hermitian",
-    dual_of: CyclicCode | None = None,
-) -> str:
-    """'exact', 'degenerate', or 'failure' for a decode of e's syndrome."""
-    if syndrome(code, e) != syndrome(code, ehat):
-        raise ValueError("classification requires equal syndromes")
-    e = tuple(e)
-    ehat = tuple(ehat)
-    if e == ehat:
-        return "exact"
-    diff = tuple(a ^ b for a, b in zip(e, ehat))
-    if mode == "hermitian":
-        harmless = in_hermitian_dual(code, diff)
-    elif mode == "css":
-        harmless = in_euclidean_dual(dual_of if dual_of is not None else code, diff)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return "degenerate" if harmless else "failure"
-
-
 def css_decode(
     S_X: Polynomial,
     S_Z: Polynomial,
@@ -157,16 +135,6 @@ class QetdStats:
     @property
     def degeneracy_gain(self) -> float:
         return self.decoded / self.exact if self.exact else float("inf")
-
-
-def burst_census_size(n: int, lmax: int) -> int:
-    """Closed-form count of quaternary bursts of length 1..lmax."""
-    if lmax < 1:
-        return 0
-    total = 3 * n
-    for length in range(2, lmax + 1):
-        total += (n - length + 1) * 9 * 4 ** (length - 2)
-    return total
 
 
 class _PackedDecoder:
@@ -274,24 +242,6 @@ def _dual_codeword_set(code: CyclicCode, hermitian: bool) -> frozenset[int]:
     return frozenset(_pack(vec) for vec in span)
 
 
-def _burst_patterns(lmax: int):
-    """Digit tuples (nonzero endpoints) for every burst length 1..lmax."""
-    for length in range(1, lmax + 1):
-        if length == 1:
-            for c in (1, 2, 3):
-                yield (c,)
-            continue
-        stack: list[tuple[int, ...]] = [(c,) for c in (1, 2, 3)]
-        while stack:
-            prefix = stack.pop()
-            if len(prefix) == length - 1:
-                for c in (1, 2, 3):
-                    yield prefix + (c,)
-                continue
-            for c in (0, 1, 2, 3):
-                stack.append(prefix + (c,))
-
-
 def burst_census(
     code: CyclicCode,
     construction: str,
@@ -306,10 +256,13 @@ def burst_census(
     CSS codes decode it as one GF(4) polynomial over the binary generator
     (equivalent to trapping both component syndromes in one register)
     and judge degeneracy component-wise against the opposite code's dual.
+    Raises NotDualContaining when the code admits no quantum construction.
     """
     if construction == "hermitian":
         if code.field.m != 2:
             raise ValueError("Hermitian census expects a GF(4) code")
+        if not hermitian_dual_containing(code):
+            raise NotDualContaining(f"{code!r}: H H^dagger != 0")
         gf4_code = code
         K = 2 * code.k - code.n
     elif construction == "css":
@@ -319,6 +272,8 @@ def burst_census(
             code2 = code
         if code2.g != code.g:
             raise NotImplementedError("census supports single-code CSS pairs")
+        if not css_dual_containing(code, code2):
+            raise NotDualContaining(f"{code!r}: dual containment fails")
         gf4_code = code_from_generator(
             code.n, Polynomial.make(GF4, code.g.coeffs)
         )
@@ -326,12 +281,14 @@ def burst_census(
     else:
         raise ValueError(f"unknown construction {construction!r}")
 
+    if code.r < 1:
+        raise ValueError("census needs a generator of degree >= 1 (r = 0)")
     n = code.n
     if lmax is None:
         lmax = (n - K) // 2
     if not 1 <= lmax <= n:
         raise ValueError(f"lmax must be in 1..{n}, got {lmax}")
-    total_expected = burst_census_size(n, lmax)
+    total_expected = burst_count(n, 4, lmax)
     if total_expected > guard:
         raise ValueError(
             f"census of {total_expected} bursts exceeds the guard ({guard})"
@@ -380,7 +337,7 @@ def burst_census(
             return xpart in dual1 and zpart in dual2
 
     total = exact = decoded = 0
-    for pattern in _burst_patterns(lmax):
+    for pattern in _burst_patterns(4, lmax):
         length = len(pattern)
         for start in range(0, n - length + 1):
             synd = 0

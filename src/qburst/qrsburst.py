@@ -21,9 +21,9 @@ from .cycliccode import (
     in_euclidean_dual,
 )
 from .galois import FieldSpec, SelfDualBasis, field_make, self_dual_basis
-from .matgf import MatrixGF, row_reduce
+from .matgf import row_reduce  # noqa: F401  perfbench's tracer patches this binding
 from .polyring import Polynomial
-from .qccburst import NotDualContaining, solve_tail
+from .qccburst import NotDualContaining, window_pairs
 
 
 @dataclass(frozen=True)
@@ -130,21 +130,6 @@ def image_burst_length(v, basis: SelfDualBasis) -> int:
 
 
 @dataclass(frozen=True)
-class RsPairSets:
-    """Window pair data: base dependency pairs and their scalar closure.
-
-    `boxplus` holds the base pairs; `boxtimes` all nonzero scalar
-    combinations; `boxtimes_hat` the nondegenerate subset (pairs whose
-    difference leaves the Euclidean dual).
-    """
-
-    start: int
-    boxplus: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    boxtimes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    boxtimes_hat: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
 class RsReport:
     m: int
     n: int
@@ -166,68 +151,8 @@ def rs_image_qrb(rs: RsCode) -> int:
 
 
 def _window_base_pairs(rs: RsCode, start: int):
-    """Dependency pairs of the width-(hbar+1) window at `start` (0-based)."""
-    code = rs.code
-    n, r = code.n, code.r
-    width = rs.hbar + 1
-    m = code.H.submatrix(r - width, 0, n - width)
-    block = MatrixGF(
-        code.field, m.rows, width, tuple(row[start : start + width] for row in m.data)
-    )
-    reduced = row_reduce(block)
-    pairs = []
-    for free_col in reduced.free_cols:
-        e = [0] * n
-        for coeff, pivot_col in zip(reduced.combination[free_col], reduced.pivot_cols):
-            e[start + pivot_col] = coeff
-        e[start + free_col] = 1
-        s = code.H.matvec(e)
-        if any(s[: r - width]):
-            raise AssertionError("window pair has syndrome outside the tail")
-        tail = solve_tail(code, s, width)
-        fvec = [0] * n
-        for u, c in enumerate(tail):
-            fvec[n - width + u] = c
-        pairs.append((tuple(e), tuple(fvec)))
-    return reduced.rank, pairs
-
-
-def _scalar_combinations(field: FieldSpec, pairs):
-    """All nonzero scalar combinations of one or two base pairs."""
-    nonzero = range(1, field.q)
-
-    def scaled(vec, lam):
-        return tuple(field.mul(lam, v) for v in vec)
-
-    if len(pairs) == 1:
-        (e1, f1), = pairs
-        for lam in nonzero:
-            yield scaled(e1, lam), scaled(f1, lam)
-        return
-    for a in range(len(pairs)):
-        for lam in nonzero:
-            yield scaled(pairs[a][0], lam), scaled(pairs[a][1], lam)
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            (e1, f1), (e2, f2) = pairs[a], pairs[b]
-            for l1 in nonzero:
-                e1s, f1s = scaled(e1, l1), scaled(f1, l1)
-                for l2 in nonzero:
-                    e = tuple(x ^ y for x, y in zip(e1s, scaled(e2, l2)))
-                    fv = tuple(x ^ y for x, y in zip(f1s, scaled(f2, l2)))
-                    yield e, fv
-
-
-def window_pair_sets(rs: RsCode, start: int) -> RsPairSets:
-    """Materialized pair sets for one window (analysis/test helper)."""
-    _, base = _window_base_pairs(rs, start)
-    boxtimes = tuple(_scalar_combinations(rs.field, base))
-    hat = tuple(
-        (e, fv)
-        for e, fv in boxtimes
-        if not in_euclidean_dual(rs.code, tuple(a ^ b for a, b in zip(e, fv)))
-    )
-    return RsPairSets(start, tuple(base), boxtimes, hat)
+    """Rank and dependency pairs of the width-(hbar+1) window at `start`."""
+    return window_pairs(rs.code, rs.hbar + 1, start)
 
 
 def _local_span(rs: RsCode, loc: tuple[int, ...], expand) -> int:

@@ -194,120 +194,85 @@ def _parse_nk(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _build_code_row(construction: str, n: int, gens: list[str]):
-    field = GF4 if construction == "hermitian" else GF2
-    polys = [parse_generator(g, field) for g in gens]
-    codes = [code_from_generator(n, p) for p in polys]
-    if construction == "hermitian":
-        return qcc_burst_limit_hermitian(codes[0])
-    return qcc_burst_limit_css(*codes) if len(codes) == 2 else qcc_burst_limit_css(codes[0])
+def _limit_values(row: dict) -> dict:
+    hermitian = row["construction"] == "hermitian"
+    field = GF4 if hermitian else GF2
+    gens = row["gens"].split(";")
+    if len(gens) > (1 if hermitian else 2):
+        raise ValueError(f"too many generators for a {row['construction']} row: {len(gens)}")
+    codes = [code_from_generator(row["n"], parse_generator(g, field)) for g in gens]
+    rep = qcc_burst_limit_hermitian(*codes) if hermitian else qcc_burst_limit_css(*codes)
+    return {"L": rep.L, "delta": rep.delta, "ell0": rep.ell0, "K": rep.K}
+
+
+def _rs_values(row: dict) -> dict:
+    rep = rs_image_burst_limit(rs_make(int(row["m"]), int(row["K"])))
+    return {"L": rep.L, "lower": rep.lower, "qrb": rep.qrb_image}
+
+
+def _census_values(row: dict) -> dict:
+    field = GF4 if row["construction"] == "hermitian" else GF2
+    code = code_from_generator(row["n"], parse_generator(row["gen"], field))
+    stats = burst_census(code, row["construction"])
+    return {"ND": stats.decoded, "N0": stats.exact, "N": stats.total}
+
+
+# One entry per fixture table: file, column names (the last column holds
+# the flags), row name, the template that renders both the printed and the
+# computed values, and the function computing the values for one row.
+# Tables with an `nk` column ([[n,K]]) also give the row `n` and `K`.
+_TABLES = (
+    ("table1.tsv", "construction nk L delta gens flags", "table1 {nk}",
+     "L={L},delta={delta},K={K}", _limit_values),
+    ("table2.tsv", "construction nk L ell0 delta gens flags", "table2 {nk}",
+     "L={L},ell0={ell0},K={K}", _limit_values),
+    ("table3.tsv", "m n K L lower qrb flags", "table3 [[{n},{K}]]_2^{m}",
+     "L={L},lower={lower},qrb={qrb}", _rs_values),
+    ("table4.tsv", "construction nk ND N0 N gen flags", "table4 {nk}",
+     "ND={ND},N0={N0},N={N}", _census_values),
+)
 
 
 def verify_tables(directory: Path | None = None, include_slow: bool = False):
     """Recompute every fixture row; returns (lines, discrepancy_count).
 
     Rows flagged `slow` are skipped unless requested; rows flagged
-    `expected-discrepancy` may mismatch (or fail to parse) without
+    `expected-discrepancy` may mismatch (or fail to compute) without
     counting against the exit status.
     """
     directory = Path(directory) if directory is not None else fixtures_dir()
     lines: list[str] = []
     unexpected = 0
-
-    def outcome(name: str, printed: str, computed: str, flags: list[str]) -> None:
-        nonlocal unexpected
-        expected = any(f.startswith("expected-discrepancy") for f in flags)
-        if printed == computed:
-            lines.append(f"ok        {name}: {computed}")
-        elif expected:
-            lines.append(f"expected  {name}: printed {printed} -> computed {computed}")
-        else:
-            lines.append(f"MISMATCH  {name}: printed {printed} -> computed {computed}")
-            unexpected += 1
-
-    def maybe_skip(name: str, flags: list[str]) -> bool:
-        if "slow" in flags and not include_slow:
-            lines.append(f"skip      {name} (slow)")
-            return True
-        return False
-
-    path = directory / "table1.tsv"
-    if path.exists():
-        for row in _read_fixture(path):
-            construction, nk, L, delta, gens, _ = row["fields"]
-            flags = row["flags"]
-            name = f"table1 {nk}"
-            if maybe_skip(name, flags):
+    for file_name, columns, label, template, compute in _TABLES:
+        path = directory / file_name
+        if not path.exists():
+            continue
+        columns = columns.split()
+        for fixture_row in _read_fixture(path):
+            fields, flags = fixture_row["fields"], fixture_row["flags"]
+            if len(fields) != len(columns):
+                raise ValueError(
+                    f"{file_name}: expected {len(columns)} tab-separated fields, got {len(fields)}"
+                )
+            row = dict(zip(columns, fields))
+            name = label.format(**row)
+            if "slow" in flags and not include_slow:
+                lines.append(f"skip      {name} (slow)")
                 continue
-            n, K = _parse_nk(nk)
+            if "nk" in row:
+                row["n"], row["K"] = _parse_nk(row["nk"])
+            printed = template.format(**row)
             try:
-                rep = _build_code_row(construction, n, gens.split(";"))
+                computed = template.format(**compute(row))
             except (ValueError, NotDualContaining) as exc:
-                outcome(name, f"L={L},delta={delta},K={K}", f"error: {exc}", flags)
-                continue
-            outcome(
-                name,
-                f"L={L},delta={delta},K={K}",
-                f"L={rep.L},delta={rep.delta},K={rep.K}",
-                flags,
-            )
-
-    path = directory / "table2.tsv"
-    if path.exists():
-        for row in _read_fixture(path):
-            construction, nk, L, ell0, delta, gens, _ = row["fields"]
-            flags = row["flags"]
-            name = f"table2 {nk}"
-            if maybe_skip(name, flags):
-                continue
-            n, K = _parse_nk(nk)
-            try:
-                rep = _build_code_row(construction, n, gens.split(";"))
-            except (ValueError, NotDualContaining) as exc:
-                outcome(name, f"L={L},ell0={ell0},K={K}", f"error: {exc}", flags)
-                continue
-            outcome(
-                name,
-                f"L={L},ell0={ell0},K={K}",
-                f"L={rep.L},ell0={rep.ell0},K={rep.K}",
-                flags,
-            )
-
-    path = directory / "table3.tsv"
-    if path.exists():
-        for row in _read_fixture(path):
-            m, n, K, L, lower, qrb, _ = row["fields"]
-            flags = row["flags"]
-            name = f"table3 [[{n},{K}]]_2^{m}"
-            if maybe_skip(name, flags):
-                continue
-            rep = rs_image_burst_limit(rs_make(int(m), int(K)))
-            outcome(
-                name,
-                f"L={L},lower={lower},qrb={qrb}",
-                f"L={rep.L},lower={rep.lower},qrb={rep.qrb_image}",
-                flags,
-            )
-
-    path = directory / "table4.tsv"
-    if path.exists():
-        for row in _read_fixture(path):
-            construction, nk, nd, n0, ntot, gen, _ = row["fields"]
-            flags = row["flags"]
-            name = f"table4 {nk}"
-            if maybe_skip(name, flags):
-                continue
-            n, K = _parse_nk(nk)
-            field = GF4 if construction == "hermitian" else GF2
-            code = code_from_generator(n, parse_generator(gen, field))
-            stats = burst_census(code, construction)
-            outcome(
-                name,
-                f"ND={nd},N0={n0},N={ntot}",
-                f"ND={stats.decoded},N0={stats.exact},N={stats.total}",
-                flags,
-            )
-
+                computed = f"error: {exc}"
+            if printed == computed:
+                lines.append(f"ok        {name}: {computed}")
+            elif any(f.startswith("expected-discrepancy") for f in flags):
+                lines.append(f"expected  {name}: printed {printed} -> computed {computed}")
+            else:
+                lines.append(f"MISMATCH  {name}: printed {printed} -> computed {computed}")
+                unexpected += 1
     return lines, unexpected
 
 

@@ -10,16 +10,15 @@ from qburst.cycliccode import (
     BurstPattern,
     CyclicCode,
     burst_length,
-    classical_burst_limit,
     code_from_generator,
     contains,
     css_dual_containing,
     hermitian_dual_containing,
     in_euclidean_dual,
     in_hermitian_dual,
-    shortened_check_matrix,
     syndrome,
 )
+from qburst.qccburst import classical_burst_limit, window_pairs
 
 
 def P(field, *coeffs):
@@ -220,11 +219,18 @@ def test_classical_reiger_bound():
 
 
 def test_shortened_check_matrix():
-    m = shortened_check_matrix(HAMMING, 1)
-    assert (m.rows, m.cols) == (2, 6)
-    assert m.data == tuple(row[:6] for row in HAMMING.H.data[:2])
+    # a width-t window has the r - t rows and t columns of the t-shortened
+    # H, so its rank plus its free columns is t, and t = r leaves no rows
+    for t in range(1, HAMMING.r + 1):
+        for start in range(HAMMING.n - 2 * t + 1):
+            rank, pairs = window_pairs(HAMMING, t, start)
+            assert rank + len(pairs) == t and rank <= HAMMING.r - t
+    # rows 0-1 of H are (1,0,1,1,1,0,0) and (0,1,0,1,1,1,0); the width-2
+    # window at 0 keeps row 0 alone, so it has rank 1, not 2
+    assert HAMMING.H.data[:2] == ((1, 0, 1, 1, 1, 0, 0), (0, 1, 0, 1, 1, 1, 0))
+    assert window_pairs(HAMMING, 2, 0)[0] == 1
     with pytest.raises(ValueError):
-        shortened_check_matrix(HAMMING, 4)
+        window_pairs(HAMMING, 4, 0)
 
 
 def test_burst_pattern():

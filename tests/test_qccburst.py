@@ -1,26 +1,24 @@
 import pytest
 
 from qburst.galois import GF2, GF4
-from qburst.matgf import row_reduce
 from qburst.polyring import Polynomial, divisor_generators
 from qburst.cycliccode import (
     burst_length,
     code_from_generator,
     contains,
-    classical_burst_limit,
     syndrome,
 )
 from qburst.qccburst import (
     NotDualContaining,
     brute_force_limit,
-    build_window,
+    classical_burst_limit,
     degeneracy_check,
-    dependency_pairs,
     qcc_burst_limit,
     qcc_burst_limit_css,
     qcc_burst_limit_hermitian,
     reiger_classification,
     reiger_delta,
+    window_pairs,
 )
 from qburst.searchcli import parse_generator
 
@@ -39,45 +37,47 @@ CODE15 = make4(15, "(1^6 2^3 1^0)")
 
 
 def test_build_window_bounds():
-    w = build_window(CODE15, 3, 0)
-    assert (w.block.rows, w.block.cols) == (CODE15.r - 3, 3)
-    build_window(CODE15, 3, CODE15.n - 6)  # last admissible start
+    rank, pairs = window_pairs(CODE15, 3, 0)
+    # a window has `width` columns and r - width rows
+    assert rank + len(pairs) == 3 and rank <= CODE15.r - 3
+    window_pairs(CODE15, 3, CODE15.n - 6)  # last admissible start
+    window_pairs(CODE15, CODE15.r, 0)  # widths run up to r
+    for width in (0, CODE15.r + 1):
+        with pytest.raises(ValueError):
+            window_pairs(CODE15, width, 0)
     with pytest.raises(ValueError):
-        build_window(CODE15, 4, 0)  # above r // 2
+        window_pairs(CODE15, 3, CODE15.n - 5)
     with pytest.raises(ValueError):
-        build_window(CODE15, 3, CODE15.n - 5)
+        window_pairs(CODE15, 3, -1)
 
 
 def test_build_window_matches_check_polynomial():
     # window entries are parity-check coefficients laid out on the diagonal:
-    # row i of H carries h reversed starting at column i
-    w = build_window(CODE15, 3, 0)
+    # row i of H carries h reversed starting at column i; the width-3 window
+    # at start 0 is the first 3 columns of H's first r - 3 rows
+    block = CODE15.H.submatrix(CODE15.r - 3, 0, 3)
     hc = CODE15.h.coeffs
     k = CODE15.k
-    for i in range(w.block.rows):
+    for i in range(block.rows):
         for j in range(3):
             expected = hc[k - (j - i)] if 0 <= j - i <= k else 0
-            assert w.block.entry(i, j) == expected
+            assert block.entry(i, j) == expected
 
 
 def test_single_column_windows():
     for start in range(0, QUAD5.n - 2 + 1):
-        w = build_window(QUAD5, 1, start)
-        assert w.block.cols == 1
+        rank, pairs = window_pairs(QUAD5, 1, start)
+        assert rank + len(pairs) == 1
 
 
 def test_dependency_pairs_full_rank_empty():
-    w = build_window(CODE15, 3, 0)
-    assert row_reduce(w.block).rank == 3
-    assert dependency_pairs(CODE15, w).pairs == ()
+    assert window_pairs(CODE15, 3, 0) == (3, ())
 
 
 def test_dependency_pairs_postconditions():
     # ell = 6 window of the [[25,1]] code at start 4 is rank deficient
-    w = build_window(CODE25, 6, 4)
-    red = row_reduce(w.block)
-    assert red.rank == 5
-    pairs = dependency_pairs(CODE25, w).pairs
+    rank, pairs = window_pairs(CODE25, 6, 4)
+    assert rank == 5
     assert len(pairs) == 1
     for e, f in pairs:
         assert syndrome(CODE25, e) == syndrome(CODE25, f)

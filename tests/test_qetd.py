@@ -4,12 +4,17 @@ import pytest
 
 from qburst.galois import GF2, GF4
 from qburst.polyring import Polynomial
-from qburst.cycliccode import BurstPattern, code_from_generator, syndrome
+from qburst.cycliccode import (
+    BurstPattern,
+    _burst_patterns,
+    burst_count,
+    code_from_generator,
+    syndrome,
+)
+from qburst.qccburst import NotDualContaining, degeneracy_check
 from qburst.qetd import (
     QetdStats,
     burst_census,
-    burst_census_size,
-    classify,
     css_decode,
     trap_decode,
 )
@@ -83,20 +88,21 @@ def test_low_order_bursts_read_off_in_syndrome():
 
 
 def test_classify():
+    # a decode is exact (ehat == e), degenerate, or a failure
     zero = (0,) * 5
     stab = tuple(GF4.conj(v) for v in QUAD5.H.data[0])
-    assert classify(QUAD5, zero, zero) == "exact"
-    assert classify(QUAD5, stab, zero) == "degenerate"
+    assert degeneracy_check(QUAD5, zero, zero)
+    assert stab != zero and degeneracy_check(QUAD5, stab, zero)
     # logical operator: codeword outside the Hermitian dual
-    assert classify(QUAD5, (0, 0, 1, 2, 1), zero) == "failure"
+    assert not degeneracy_check(QUAD5, (0, 0, 1, 2, 1), zero)
     with pytest.raises(ValueError):
-        classify(QUAD5, (1, 0, 0, 0, 0), zero)
+        degeneracy_check(QUAD5, (1, 0, 0, 0, 0), zero)
 
 
 def test_classify_css_mode():
     zero = (0,) * 7
     dual_row = STEANE.H.data[0]
-    assert classify(STEANE, dual_row, zero, mode="css") == "degenerate"
+    assert dual_row != zero and degeneracy_check(STEANE, dual_row, zero, mode="css")
 
 
 def test_css_decode():
@@ -116,11 +122,18 @@ def test_css_decode():
 
 
 def test_census_size_formula():
-    assert burst_census_size(5, 2) == 51
-    assert burst_census_size(7, 3) == 255
-    assert burst_census_size(13, 6) == 25599
-    assert burst_census_size(17, 8) == 507903
-    assert burst_census_size(23, 11) == 41943039
+    assert burst_count(5, 4, 2) == 51
+    assert burst_count(7, 4, 3) == 255
+    assert burst_count(13, 4, 6) == 25599
+    assert burst_count(17, 4, 8) == 507903
+    assert burst_count(23, 4, 11) == 41943039
+    for q in (2, 4):
+        for n in (1, 4, 7):
+            for lmax in range(0, n + 3):
+                patterns = list(_burst_patterns(q, lmax))
+                assert len(set(patterns)) == len(patterns)
+                placed = sum(max(n - len(p) + 1, 0) for p in patterns)
+                assert placed == burst_count(n, q, lmax), (q, n, lmax)
 
 
 def test_census_small_and_counts():
@@ -143,7 +156,19 @@ def test_census_rejects_lmax_out_of_range():
     for lmax in (-1, 0, QUAD5.n + 1):
         with pytest.raises(ValueError, match="lmax"):
             burst_census(QUAD5, "hermitian", lmax=lmax)
-    assert burst_census(QUAD5, "hermitian", lmax=QUAD5.n).total == burst_census_size(5, 5)
+    assert burst_census(QUAD5, "hermitian", lmax=QUAD5.n).total == burst_count(5, 4, 5)
+
+
+def test_census_rejects_codes_without_quantum_construction():
+    full = code_from_generator(5, parse_generator("(1^5 1^0)", GF4))  # [[5,-5]]
+    with pytest.raises(NotDualContaining):
+        burst_census(full, "hermitian", lmax=1)
+    parity = code_from_generator(3, parse_generator("(1^1 1^0)", GF2))
+    with pytest.raises(NotDualContaining):
+        burst_census(parity, "css", lmax=1)
+    trivial = code_from_generator(5, parse_generator("(1^0)", GF4))  # r = 0
+    with pytest.raises(ValueError, match="degree"):
+        burst_census(trivial, "hermitian", lmax=1)
 
 
 def test_census_guard():

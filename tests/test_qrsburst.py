@@ -4,8 +4,10 @@ import pytest
 
 from qburst.galois import field_make, self_dual_basis
 from qburst.cycliccode import contains, in_euclidean_dual, syndrome
-from qburst.qccburst import NotDualContaining
+from qburst.qccburst import NotDualContaining, window_pairs
 from qburst.qrsburst import (
+    _scalar_combinations_local,
+    _window_base_pairs,
     image_burst_length,
     image_expand,
     reference_self_dual_basis,
@@ -13,7 +15,6 @@ from qburst.qrsburst import (
     rs_image_qrb,
     rs_lower_bound,
     rs_make,
-    window_pair_sets,
 )
 
 
@@ -122,18 +123,36 @@ def test_lower_bound_examples():
 
 def test_window_pair_sets():
     rs = rs_make(4, 5)
-    sets = window_pair_sets(rs, 0)
-    assert 1 <= len(sets.boxplus) <= 2
-    v = len(sets.boxplus)
+    _, boxplus = _window_base_pairs(rs, 0)
+    assert 1 <= len(boxplus) <= 2
+    v = len(boxplus)
     q = rs.field.q
     expected = (q - 1) if v == 1 else (q * q - 1)
-    assert len(sets.boxtimes) == expected
-    assert set(sets.boxtimes_hat) <= set(sets.boxtimes)
-    for e, fv in sets.boxtimes:
+    boxtimes = list(_scalar_combinations_local(rs.field, boxplus))
+    assert len(boxtimes) == len(set(boxtimes)) == expected
+    for e, fv in boxtimes:
         assert syndrome(rs.code, e) == syndrome(rs.code, fv)
-    for e, fv in sets.boxtimes_hat:
-        diff = tuple(a ^ b for a, b in zip(e, fv))
-        assert not in_euclidean_dual(rs.code, diff)
+    # every nondegenerate combination spans more than the limit in the image
+    limit = rs_image_burst_limit(rs).L
+    for e, fv in boxtimes:
+        if not in_euclidean_dual(rs.code, tuple(a ^ b for a, b in zip(e, fv))):
+            spans = image_burst_length(e, rs.basis), image_burst_length(fv, rs.basis)
+            assert max(spans) > limit
+
+
+def test_window_pairs_at_rs_width():
+    # RS windows are hbar + 1 wide, which exceeds r // 2 when r is odd
+    rs = rs_make(4, 5)
+    code, width = rs.code, rs.hbar + 1
+    assert width > code.r // 2
+    for start in range(code.n - 2 * width + 1):
+        rank, pairs = window_pairs(code, width, start)
+        assert rank + len(pairs) == width and pairs
+        assert (rank, pairs) == _window_base_pairs(rs, start)
+        for e, fv in pairs:
+            assert syndrome(code, e) == syndrome(code, fv)
+            assert all(c == 0 for i, c in enumerate(e) if not start <= i < start + width)
+            assert all(c == 0 for i, c in enumerate(fv) if i < code.n - width)
 
 
 def test_report_invariants_and_spot_values():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -209,6 +210,45 @@ def test_bundled_fixtures_tables_1_and_2(tmp_path):
     lines, unexpected = verify_tables(tmp_path)
     assert unexpected == 0
     assert sum(1 for l in lines if l.startswith("ok")) >= 50
+    # regression oracle: the exact lines, computed before the window kernel
+    # was shared between the classical, QCC and RS limits
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "bd9cceacffdc41e31eb2d132a9149bf80ed0f4e83603be2dfa28e6039ecbc268"
+
+
+@pytest.mark.parametrize(
+    "job,fmt,digest",
+    [
+        (SearchJob(3, 31, "gf4", 2), "json",
+         "94868adf0358e262145a5625d65b3e854ae61a7a1056f6e7c7e5ebda3612066a"),
+        (SearchJob(3, 31, "gf2"), "csv",
+         "3dfe43a8e21cf5fdb9c8b34ef782cd37ff4f6024ed687ff061c8ec5721bf0301"),
+    ],
+    ids=["gf4-json", "gf2-csv"],
+)
+def test_search_output_digests(job, fmt, digest):
+    # regression oracle: search output bytes are pinned across refactors
+    assert hashlib.sha256(report_emit(search(job), fmt)).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "name,row",
+    [
+        ("table3.tsv", "3\t7\t7\t0\t0\t0"),  # K = 7 leaves hbar < 1
+        ("table4.tsv", "hermitian\t[[5,1]]\t0\t0\t0\t(1^5 1^0)"),  # not dual-containing
+    ],
+    ids=["table3", "table4"],
+)
+def test_verify_tables_rejected_row_is_reported_per_row(tmp_path, capsys, name, row):
+    fixture = tmp_path / name
+    fixture.write_text(row + "\texpected-discrepancy:test\n")
+    assert main(["verify-tables", "--fixtures", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("expected  ") and "computed error: " in out
+    fixture.write_text(row + "\t-\n")
+    assert main(["verify-tables", "--fixtures", str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("MISMATCH  ") and "computed error: " in out
 
 
 def test_cli_search_lengths_with_high_degree_factors(capsys):
@@ -239,19 +279,21 @@ def test_cli_rejects_degenerate_parameters(argv, capsys):
 # ---------------------------------------------------------------------------
 
 
-def _run_main(argv) -> tuple[int, str]:
+def _run_main(argv) -> tuple[int, str, str]:
     out = io.TextIOWrapper(io.BytesIO())  # search writes to sys.stdout.buffer
     err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
-    return rc, err.getvalue()
+    out.flush()
+    return rc, out.buffer.getvalue().decode(), err.getvalue()
 
 
-def _assert_contract(argv, allowed=(0, 1)):
-    rc, err = _run_main(argv)
+def _assert_contract(argv, allowed=(0, 1)) -> tuple[int, str]:
+    rc, out, err = _run_main(argv)
     assert rc in allowed, (argv, rc, err)
     assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), (argv, err)
     assert (rc == 1) == err.startswith("error:"), (argv, rc, err)
+    return rc, out
 
 
 _FIELD = st.sampled_from(["gf2", "gf4"])
@@ -280,15 +322,26 @@ _CONTRACT = settings(
 )
 
 
-@_CONTRACT
-@given(st.data())
-def test_cli_contract_burst_limit(data):
-    n, field = data.draw(_LENGTH), data.draw(_FIELD)
+@st.composite
+def _burst_limit_argv(draw):
+    n, field = draw(_LENGTH), draw(_FIELD)
     argv = ["burst-limit", "--n", str(n), "--field", field]
-    argv += ["--gen", data.draw(_generator_text(n, field))]
-    if data.draw(st.booleans()):
-        argv += ["--gen2", data.draw(_generator_text(n, field))]
-    _assert_contract(argv)
+    argv += ["--gen", draw(_generator_text(n, field))]
+    if draw(st.booleans()):
+        argv += ["--gen2", draw(_generator_text(n, field))]
+    return argv
+
+
+# A code that admits the quantum construction has K >= 0, so a run that
+# succeeds must report one.
+@_CONTRACT
+@example(["burst-limit", "--n", "5", "--field", "gf4", "--gen", "(1^5 1^0)"])
+@example(["burst-limit", "--n", "5", "--field", "gf4", "--gen", "(1^0)"])
+@given(_burst_limit_argv())
+def test_cli_contract_burst_limit(argv):
+    rc, out = _assert_contract(argv)
+    if rc == 0:
+        assert json.loads(out)["K"] >= 0, (argv, out)
 
 
 @_CONTRACT
@@ -299,16 +352,26 @@ def test_cli_contract_rs_limit(m, kq):
     _assert_contract(["rs-limit", "--m", str(m), "--kq", str(kq)])
 
 
-@_CONTRACT
-@given(st.data())
-def test_cli_contract_qetd_sim(data):
+@st.composite
+def _qetd_sim_argv(draw):
     # Lengths stay small: a census decodes every burst up to lmax.
-    n, field = data.draw(st.integers(-1, 7)), data.draw(_FIELD)
+    n, field = draw(st.integers(-1, 7)), draw(_FIELD)
     argv = ["qetd-sim", "--n", str(n), "--field", field]
-    argv += ["--gen", data.draw(_generator_text(n, field))]
-    if data.draw(st.booleans()):
-        argv += ["--lmax", str(data.draw(st.integers(-1, n + 2)))]
-    _assert_contract(argv)
+    argv += ["--gen", draw(_generator_text(n, field))]
+    if draw(st.booleans()):
+        argv += ["--lmax", str(draw(st.integers(-1, n + 2)))]
+    return argv
+
+
+@_CONTRACT
+@example(["qetd-sim", "--n", "5", "--field", "gf4", "--gen", "(1^5 1^0)"])
+@example(["qetd-sim", "--n", "5", "--field", "gf4", "--gen", "(1^0)", "--lmax", "1"])
+@given(_qetd_sim_argv())
+def test_cli_contract_qetd_sim(argv):
+    rc, out = _assert_contract(argv)
+    if rc == 0:
+        K = int(out.split("\t")[0].strip("[]").split(",")[1])
+        assert K >= 0, (argv, out)
 
 
 @_CONTRACT
