@@ -11,8 +11,7 @@ Conventions (0-based positions throughout):
   polynomial, H[i][i+j] = h_{k-j}.  Its kernel is exactly the code, any
   vector supported on the last t positions has syndrome support in the
   last t coordinates, and the trailing r x r block is lower-triangular
-  with the (nonzero) constant term h_0 on the diagonal.  That triangular
-  tail is what the dependency-pair and error-trapping machinery exploit.
+  with the (nonzero) constant term h_0 on the diagonal.
 * The syndrome of a vector is the coefficient vector of v(x) mod g(x);
   it vanishes exactly on codewords, like H v^T, and the two are related
   by a fixed invertible map.

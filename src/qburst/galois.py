@@ -280,6 +280,16 @@ class SelfDualBasis:
     field: FieldSpec
     elements: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        m = self.field.m
+        for a in self.elements:
+            self.field.check(a)
+        gram = self.gram()
+        if len(self.elements) != m or any(
+            gram[i][j] != (i == j) for i in range(m) for j in range(m)
+        ):
+            raise ValueError(f"{self.elements} is not a self-dual basis of GF(2^{m})")
+
     @property
     def m(self) -> int:
         return self.field.m
@@ -307,7 +317,7 @@ def self_dual_basis(field: FieldSpec) -> SelfDualBasis:
     by a Gram-Schmidt pass over the polynomial basis; when the residual
     form turns alternating (no vector with B(v, v) = 1 remains), three new
     orthonormal vectors are formed from the last accepted vector and a
-    hyperbolic pair.  Deterministic; the result is verified before return.
+    hyperbolic pair.  Deterministic; the basis verifies itself on construction.
     """
     f = field
     m = f.m
@@ -343,10 +353,4 @@ def self_dual_basis(field: FieldSpec) -> SelfDualBasis:
         rest = [x for x in fixed if x]
         chosen.extend(trio)
 
-    basis = SelfDualBasis(f, tuple(chosen))
-    gram = basis.gram()
-    for i in range(m):
-        for j in range(m):
-            if gram[i][j] != (1 if i == j else 0):
-                raise AssertionError("self-dual basis construction failed verification")
-    return basis
+    return SelfDualBasis(f, tuple(chosen))

@@ -82,13 +82,6 @@ class Polynomial:
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def evaluate(self, point: int) -> int:
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.mul(acc, point) ^ c
-        return acc
-
     # -- arithmetic -----------------------------------------------------------
 
     def _same_field(self, other: Polynomial) -> None:
@@ -148,9 +141,6 @@ class Polynomial:
 
     def __mod__(self, other: Polynomial) -> Polynomial:
         return divmod(self, other)[1]
-
-    def __floordiv__(self, other: Polynomial) -> Polynomial:
-        return divmod(self, other)[0]
 
     def monic(self) -> Polynomial:
         if self.is_zero or self.is_monic:

@@ -34,34 +34,11 @@ from .cycliccode import (
     syndrome,
 )
 from .matgf import row_reduce
+from .polyring import Polynomial
 
 
 class NotDualContaining(ValueError):
     """The classical code(s) do not admit the quantum construction."""
-
-
-def solve_tail(code: CyclicCode, synd: tuple[int, ...], width: int) -> tuple[int, ...]:
-    """Unique vector supported on the last `width` positions with the given
-    syndrome tail, via back-substitution on the triangular tail of H.
-
-    Requires the first r - width syndrome coordinates (of H v^T) to vanish,
-    which holds for any vector supported on positions < n - width whose
-    window block annihilates the shortened matrix rows.
-    """
-    f = code.field
-    n, r = code.n, code.r
-    hrows = code.H.data
-    tail = synd[r - width :]
-    sol = [0] * width
-    inv0 = f.inv(code.h.coeffs[0])
-    for t in range(width):
-        acc = tail[t]
-        hrow = hrows[r - width + t]
-        for u in range(t):
-            if sol[u]:
-                acc ^= f.mul(hrow[n - width + u], sol[u])
-        sol[t] = f.mul(acc, inv0)
-    return tuple(sol)
 
 
 def window_pairs(code: CyclicCode, width: int, start: int):
@@ -86,10 +63,11 @@ def window_pairs(code: CyclicCode, width: int, start: int):
         for coeff, pivot_col in zip(reduced.combination[free_col], reduced.pivot_cols):
             e[start + pivot_col] = coeff
         e[start + free_col] = 1
-        s = code.H.matvec(e)
-        if any(s[: r - width]):
+        # x^n = 1 mod g, so f = x^(n-width) ((x^width e) mod g) = e mod g
+        tail = Polynomial.make(code.field, [0] * width + e) % code.g
+        if tail.degree >= width:
             raise AssertionError("window pair has syndrome outside the tail")
-        fvec = (0,) * (n - width) + solve_tail(code, s, width)
+        fvec = (0,) * (n - width) + tail.coeffs + (0,) * (width - len(tail.coeffs))
         pairs.append((tuple(e), fvec))
     return reduced.rank, tuple(pairs)
 

@@ -224,22 +224,19 @@ def _low_index(packed: int) -> int:
 
 
 def _dual_codeword_set(code: CyclicCode, hermitian: bool) -> frozenset[int]:
-    """All packed elements of the (Hermitian or Euclidean) dual."""
+    """All packed elements of the (Hermitian or Euclidean) dual: the XOR
+    span of every scalar multiple of every check row, each conjugated for
+    the Hermitian dual (conjugation is additive, so this spans the
+    conjugated dual)."""
     f = code.field
-    n = code.n
-    span: set[tuple[int, ...]] = {(0,) * n}
+    conj = f.conj if hermitian else (lambda v: v)
+    span = {0}
     for row in code.H.data:
-        scaled_rows = [tuple(f.mul(c, v) for v in row) for c in range(1, f.q)]
-        new = set(span)
-        for base in span:
-            for srow in scaled_rows:
-                new.add(tuple(a ^ b for a, b in zip(base, srow)))
-        span = new
-        # Repeated closure keeps span a subspace because rows are processed
-        # one at a time with all scalar multiples.
-    if hermitian:
-        span = {tuple(f.conj(v) for v in vec) for vec in span}
-    return frozenset(_pack(vec) for vec in span)
+        multiples = [0] + [
+            _pack(tuple(conj(f.mul(c, v)) for v in row)) for c in range(1, f.q)
+        ]
+        span = {a ^ b for a in span for b in multiples}
+    return frozenset(span)
 
 
 def burst_census(

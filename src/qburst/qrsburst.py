@@ -13,6 +13,7 @@ combinations caps the correctable burst length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .cycliccode import (
     CyclicCode,
@@ -52,7 +53,7 @@ class RsCode:
 # The binary image of a code (and hence its burst spans) depends on which
 # self-dual basis expands the symbols; the constructions below pin one
 # ordered basis per field so every derived number is stable across runs.
-# Entries are verified against the Gram identity before use.
+# `SelfDualBasis` checks each entry against the Gram identity.
 _PINNED_BASES: dict[int, tuple[int, ...]] = {
     5: (24, 26, 10, 30, 23),
     6: (60, 9, 58, 26, 44, 56),
@@ -64,11 +65,7 @@ def reference_self_dual_basis(field: FieldSpec) -> SelfDualBasis:
     elements = _PINNED_BASES.get(field.m)
     if elements is None or field != field_make(field.m):
         return self_dual_basis(field)
-    basis = SelfDualBasis(field, elements)
-    gram = basis.gram()
-    if any(gram[i][j] != (1 if i == j else 0) for i in range(field.m) for j in range(field.m)):
-        raise AssertionError("pinned basis failed the Gram identity")
-    return basis
+    return SelfDualBasis(field, elements)
 
 
 def rs_make(
@@ -155,25 +152,6 @@ def _window_base_pairs(rs: RsCode, start: int):
     return window_pairs(rs.code, rs.hbar + 1, start)
 
 
-def _local_span(rs: RsCode, loc: tuple[int, ...], expand) -> int:
-    """Image burst length of a support-restricted coefficient block."""
-    first = None
-    last = None
-    for i, s in enumerate(loc):
-        if s:
-            if first is None:
-                first = i
-            last = i
-    if first is None:
-        return 0
-    m = rs.m
-    first_bits = expand(loc[first])
-    last_bits = expand(loc[last])
-    lo = first * m + first_bits.index(1)
-    hi = last * m + (m - 1 - tuple(reversed(last_bits)).index(1))
-    return hi - lo + 1
-
-
 def rs_image_burst_limit(rs: RsCode) -> RsReport:
     """True burst limit of the binary image of a quantum RS code.
 
@@ -182,60 +160,67 @@ def rs_image_burst_limit(rs: RsCode) -> RsReport:
     uncorrectable length, and the limit is one less.  When every
     combination everywhere is degenerate the image Reiger bound is
     reported with a flag.
+
+    The binary image map is GF(2)-linear, so each window packs the image
+    of every scalar multiple of its pairs into an int once (bit i*m + j
+    holds coordinate j of symbol i): a combination is one XOR and its
+    image span a difference of bit lengths.
     """
     code = rs.code
-    n, hbar = rs.n, rs.hbar
-    field = rs.field
+    n, m, hbar = rs.n, rs.m, rs.hbar
+    mul = rs.field.mul
     width = hbar + 1
     flags: list[str] = []
     qrb = rs_image_qrb(rs)
     lower = rs_lower_bound(rs)
-    best: int | None = None
+    unset = m * n + 1  # longer than any image span
+    best = unset
+    image = [
+        sum(bit << j for j, bit in enumerate(rs.basis.coordinates(s)))
+        for s in range(rs.field.q)
+    ]
+    nonzero = range(1, rs.field.q)
 
-    expand_cache: dict[int, tuple[int, ...]] = {}
+    def scaled_images(block) -> list[int]:
+        """Packed image of lam * block at index lam (index 0 holds 0)."""
+        return [0] + [
+            sum(image[mul(lam, s)] << (i * m) for i, s in enumerate(block) if s)
+            for lam in nonzero
+        ]
 
-    def expand(symbol: int) -> tuple[int, ...]:
-        bits = expand_cache.get(symbol)
-        if bits is None:
-            bits = rs.basis.coordinates(symbol)
-            expand_cache[symbol] = bits
-        return bits
-
-    def full_vector(start_pos: int, loc: tuple[int, ...]) -> tuple[int, ...]:
-        v = [0] * n
-        for i, c in enumerate(loc):
-            v[start_pos + i] = c
-        return tuple(v)
-
-    last_start = n - 2 * hbar - 2
-    for start in range(0, last_start + 1):
+    for start in range(0, n - 2 * width + 1):
         rank_, base = _window_base_pairs(rs, start)
         if not hbar - 1 <= rank_ <= hbar and "rank-bound-violated" not in flags:
             flags.append("rank-bound-violated")
-        if not base:
-            continue
-        compact = [
-            (
-                tuple(e[start : start + width]),
-                tuple(fv[n - width :]),
-            )
+        images = [
+            (scaled_images(e[start : start + width]), scaled_images(fv[n - width :]))
             for e, fv in base
         ]
-        for e_loc, f_loc in _scalar_combinations_local(field, compact):
-            span_e = _local_span(rs, e_loc, expand)
-            if best is not None and span_e >= best:
-                continue
-            worst = max(span_e, _local_span(rs, f_loc, expand))
-            if best is not None and worst >= best:
-                continue
-            diff = tuple(
-                a ^ b
-                for a, b in zip(full_vector(start, e_loc), full_vector(n - width, f_loc))
-            )
-            if not in_euclidean_dual(code, diff):
-                best = worst
+        # single multiples (no partner, scalar 0), then pairwise sums
+        singles = [(a, None) for a in range(len(base))]
+        for a, b in singles + list(combinations(range(len(base)), 2)):
+            e1, f1 = images[a]
+            e2, f2 = images[b] if b is not None else ((0,), (0,))
+            for l1 in nonzero:
+                for l2 in nonzero if b is not None else (0,):
+                    ex = e1[l1] ^ e2[l2]
+                    span_e = ex.bit_length() - (ex & -ex).bit_length() + 1
+                    if span_e >= best:
+                        continue
+                    fx = f1[l1] ^ f2[l2]
+                    worst = max(span_e, fx.bit_length() - (fx & -fx).bit_length() + 1)
+                    if worst >= best:
+                        continue
+                    diff = [0] * n
+                    for k, lam in ((a, l1), (b, l2)):
+                        if lam:
+                            e, fv = base[k]
+                            for i in range(n):
+                                diff[i] ^= mul(lam, e[i] ^ fv[i])
+                    if not in_euclidean_dual(code, tuple(diff)):
+                        best = worst
 
-    if best is None:
+    if best == unset:
         flags.append("bound-limited")
         L = qrb
     else:
@@ -246,26 +231,3 @@ def rs_image_burst_limit(rs: RsCode) -> RsReport:
             f"computed limit {report.L} outside [{report.lower}, {report.qrb_image}]"
         )
     return report
-
-
-def _scalar_combinations_local(field: FieldSpec, pairs):
-    """Scalar closure over support-restricted (e, f) coefficient blocks."""
-    nonzero = range(1, field.q)
-
-    def scaled(vec, lam):
-        return tuple(field.mul(lam, v) for v in vec)
-
-    for e1, f1 in pairs:
-        for lam in nonzero:
-            yield scaled(e1, lam), scaled(f1, lam)
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            (e1, f1), (e2, f2) = pairs[a], pairs[b]
-            for l1 in nonzero:
-                e1s, f1s = scaled(e1, l1), scaled(f1, l1)
-                for l2 in nonzero:
-                    e2s, f2s = scaled(e2, l2), scaled(f2, l2)
-                    yield (
-                        tuple(x ^ y for x, y in zip(e1s, e2s)),
-                        tuple(x ^ y for x, y in zip(f1s, f2s)),
-                    )

@@ -220,7 +220,8 @@ def _census_values(row: dict) -> dict:
 # One entry per fixture table: file, column names (the last column holds
 # the flags), row name, the template that renders both the printed and the
 # computed values, and the function computing the values for one row.
-# Tables with an `nk` column ([[n,K]]) also give the row `n` and `K`.
+# Tables with an `nk` column ([[n,K]]) also give the row `n` and `K`; a
+# cell that does not parse is that row's error, and its K prints as `?`.
 _TABLES = (
     ("table1.tsv", "construction nk L delta gens flags", "table1 {nk}",
      "L={L},delta={delta},K={K}", _limit_values),
@@ -259,13 +260,13 @@ def verify_tables(directory: Path | None = None, include_slow: bool = False):
             if "slow" in flags and not include_slow:
                 lines.append(f"skip      {name} (slow)")
                 continue
-            if "nk" in row:
-                row["n"], row["K"] = _parse_nk(row["nk"])
-            printed = template.format(**row)
             try:
+                if "nk" in row:
+                    row["n"], row["K"] = _parse_nk(row["nk"])
                 computed = template.format(**compute(row))
             except (ValueError, NotDualContaining) as exc:
                 computed = f"error: {exc}"
+            printed = template.format(**{"K": "?", **row})
             if printed == computed:
                 lines.append(f"ok        {name}: {computed}")
             elif any(f.startswith("expected-discrepancy") for f in flags):

@@ -3,17 +3,20 @@ import random
 import pytest
 
 from qburst.galois import GF2, GF4
-from qburst.polyring import Polynomial
+from qburst.polyring import Polynomial, divisor_generators
 from qburst.cycliccode import (
     BurstPattern,
     _burst_patterns,
     burst_count,
     code_from_generator,
+    in_euclidean_dual,
+    in_hermitian_dual,
     syndrome,
 )
 from qburst.qccburst import NotDualContaining, degeneracy_check
 from qburst.qetd import (
     QetdStats,
+    _dual_codeword_set,
     burst_census,
     css_decode,
     trap_decode,
@@ -169,6 +172,32 @@ def test_census_rejects_codes_without_quantum_construction():
     trivial = code_from_generator(5, parse_generator("(1^0)", GF4))  # r = 0
     with pytest.raises(ValueError, match="degree"):
         burst_census(trivial, "hermitian", lmax=1)
+
+
+def test_dual_codeword_set_is_the_dual():
+    # The set is XOR-closed when it has 2^b elements, b the GF(2) rank of its
+    # span; with q^r elements and a basis of that span inside the dual (which
+    # has q^r elements and is XOR-closed), every element lies in the dual.
+    for field in (GF2, GF4):
+        for n in range(3, 16, 2):
+            for g in divisor_generators(n, field, (1, n - 1)):
+                code = code_from_generator(n, g)
+                if field.q ** code.r > 4**6:
+                    continue
+                for hermitian, member in ((True, in_hermitian_dual), (False, in_euclidean_dual)):
+                    dual = _dual_codeword_set(code, hermitian)
+                    assert len(dual) == field.q ** code.r
+                    basis = []
+                    for v in dual:
+                        for b in basis:
+                            v = min(v, v ^ b)
+                        if v:
+                            basis.append(v)
+                            basis.sort(reverse=True)
+                    assert 2 ** len(basis) == len(dual)
+                    for packed in basis:
+                        vec = tuple((packed >> (2 * i)) & 3 for i in range(n))
+                        assert member(code, vec), (code, hermitian, vec)
 
 
 def test_census_guard():

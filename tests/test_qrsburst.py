@@ -1,12 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from qburst.galois import field_make, self_dual_basis
+from qburst.galois import SelfDualBasis, field_make, self_dual_basis
 from qburst.cycliccode import contains, in_euclidean_dual, syndrome
 from qburst.qccburst import NotDualContaining, window_pairs
 from qburst.qrsburst import (
-    _scalar_combinations_local,
     _window_base_pairs,
     image_burst_length,
     image_expand,
@@ -126,9 +126,27 @@ def test_window_pair_sets():
     _, boxplus = _window_base_pairs(rs, 0)
     assert 1 <= len(boxplus) <= 2
     v = len(boxplus)
-    q = rs.field.q
+    f = rs.field
+    q = f.q
     expected = (q - 1) if v == 1 else (q * q - 1)
-    boxtimes = list(_scalar_combinations_local(rs.field, boxplus))
+
+    def combine(*terms):
+        """sum of lam * (e, f) over the (pair, lam) terms"""
+        e, fv = [0] * rs.n, [0] * rs.n
+        for (pe, pf), lam in terms:
+            for i in range(rs.n):
+                e[i] ^= f.mul(lam, pe[i])
+                fv[i] ^= f.mul(lam, pf[i])
+        return tuple(e), tuple(fv)
+
+    # the scalar closure: single multiples plus pairwise sums
+    nonzero = range(1, q)
+    boxtimes = [combine((p, lam)) for p in boxplus for lam in nonzero] + [
+        combine((p1, l1), (p2, l2))
+        for p1, p2 in combinations(boxplus, 2)
+        for l1 in nonzero
+        for l2 in nonzero
+    ]
     assert len(boxtimes) == len(set(boxtimes)) == expected
     for e, fv in boxtimes:
         assert syndrome(rs.code, e) == syndrome(rs.code, fv)
@@ -173,6 +191,16 @@ def test_reference_basis_is_self_dual():
         assert all(
             gram[i][j] == (1 if i == j else 0) for i in range(m) for j in range(m)
         )
+
+
+def test_self_dual_basis_checks_itself():
+    f = field_make(4)
+    with pytest.raises(ValueError, match="self-dual"):
+        SelfDualBasis(f, (1, 2, 4, 8))  # the polynomial basis fails the Gram identity
+    with pytest.raises(ValueError, match="self-dual"):
+        SelfDualBasis(f, self_dual_basis(f).elements[:3])  # too few elements
+    # once reported L=7 under the polynomial basis; a self-dual basis gives 8
+    assert rs_image_burst_limit(rs_make(4, 5, basis=self_dual_basis(f))).L == 8
 
 
 def test_qrb_image():

@@ -216,6 +216,20 @@ def test_bundled_fixtures_tables_1_and_2(tmp_path):
     assert digest == "bd9cceacffdc41e31eb2d132a9149bf80ed0f4e83603be2dfa28e6039ecbc268"
 
 
+def test_bundled_fixture_table3(tmp_path):
+    # regression oracle: the exact table 3 lines, computed before the RS
+    # scalar closure moved onto packed binary images
+    import shutil
+
+    from qburst.searchcli import fixtures_dir
+
+    shutil.copy(fixtures_dir() / "table3.tsv", tmp_path / "table3.tsv")
+    lines, unexpected = verify_tables(tmp_path)
+    assert unexpected == 0
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f947e4ce162ce68a3e3ee577b75653ec5b0422283e4a8e09db5fd6cdb807d8cd"
+
+
 @pytest.mark.parametrize(
     "job,fmt,digest",
     [
@@ -232,23 +246,30 @@ def test_search_output_digests(job, fmt, digest):
 
 
 @pytest.mark.parametrize(
-    "name,row",
+    "name,row,good",
     [
-        ("table3.tsv", "3\t7\t7\t0\t0\t0"),  # K = 7 leaves hbar < 1
-        ("table4.tsv", "hermitian\t[[5,1]]\t0\t0\t0\t(1^5 1^0)"),  # not dual-containing
+        ("table1.tsv", "hermitian\tbad\t3\t0\t(1^6 2^3 1^0)",  # unparsable [[n,K]]
+         "hermitian\t[[15,3]]\t3\t0\t(1^6 2^3 1^0)\t-"),
+        ("table3.tsv", "3\t7\t7\t0\t0\t0",  # K = 7 leaves hbar < 1
+         "4\t15\t5\t8\t5\t10\t-"),
+        ("table4.tsv", "hermitian\t[[5,1]]\t0\t0\t0\t(1^5 1^0)",  # not dual-containing
+         "hermitian\t[[5,1]]\t15\t15\t51\t(1^2 2^1 1^0)\t-"),
     ],
-    ids=["table3", "table4"],
+    ids=["table1", "table3", "table4"],
 )
-def test_verify_tables_rejected_row_is_reported_per_row(tmp_path, capsys, name, row):
+def test_verify_tables_rejected_row_is_reported_per_row(tmp_path, capsys, name, row, good):
+    # the rejected row gets its own line, and the good row after it still runs
     fixture = tmp_path / name
-    fixture.write_text(row + "\texpected-discrepancy:test\n")
+    fixture.write_text(row + "\texpected-discrepancy:test\n" + good + "\n")
     assert main(["verify-tables", "--fixtures", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("expected  ") and "computed error: " in out
-    fixture.write_text(row + "\t-\n")
+    assert out.splitlines()[1].startswith("ok        ")
+    fixture.write_text(row + "\t-\n" + good + "\n")
     assert main(["verify-tables", "--fixtures", str(tmp_path)]) == 2
     out = capsys.readouterr().out
     assert out.startswith("MISMATCH  ") and "computed error: " in out
+    assert out.splitlines()[1].startswith("ok        ")
 
 
 def test_cli_search_lengths_with_high_degree_factors(capsys):
