@@ -1,18 +1,25 @@
 """Burst error correction limits of quantum cyclic codes.
 
-The degenerate limit L of a code is found by sweeping window lengths
-ell = 1, 2, ...: the code corrects all quantum bursts of length ell
-provided every ell-column window of the ell-shortened check matrix has
-full rank, or every dependency pair arising from a rank-deficient window
-is degenerate (its two members differ by a stabilizer element).  The
-sweep stops at the first ell admitting a nondegenerate pair; the
-quantum Reiger bound caps the sweep at floor(r/2).
+`_components` is the one place a construction is decided: it checks the
+generator count, dual containment (Hermitian or CSS) and r >= 1, and
+returns K with one sweep per distinct classical component.
+
+The degenerate limit L of a component is found by sweeping window
+lengths ell = 1, 2, ...: the code corrects all quantum bursts of length
+ell provided every ell-column window of the ell-shortened check matrix
+has full rank, or every dependency pair arising from a rank-deficient
+window is degenerate (its two members differ by a stabilizer element).
+The sweep stops at the first ell admitting a nondegenerate pair; the
+quantum Reiger bound caps the sweep at floor(r/2).  A single-error
+collision x^i = lam x^j (mod g) is, after a cyclic shift, a width-1
+window pair, and degeneracy is shift-invariant, so the ell = 1 windows
+(run even when the cap is 0) find every such collision.
 
 The nondegenerate limit ell0 is tracked in the same sweep as the last
-length before any rank-deficient window (or single-error collision)
-appears at all.  `window_pairs` is the one window kernel: the classical
-limit (every window of full rank) and the binary-image limit of quantum
-Reed-Solomon codes (`qrsburst`, at width hbar + 1) use it too.
+length before any rank-deficient window appears at all.  `window_pairs`
+is the one window kernel: the classical limit (every window of full
+rank) and the binary-image limit of quantum Reed-Solomon codes
+(`qrsburst`, at width hbar + 1) use it too.
 
 An exhaustive pair enumeration over canonical burst patterns provides an
 independent oracle for small lengths.
@@ -21,7 +28,6 @@ independent oracle for small lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .cycliccode import (
     CyclicCode,
@@ -125,7 +131,7 @@ class QccReport:
 
     @property
     def delta(self) -> int:
-        return self.n - self.K - 4 * self.L
+        return reiger_delta(self.n, self.K, self.L)
 
 
 def reiger_delta(n: int, K: int, L: int) -> int:
@@ -141,51 +147,51 @@ def reiger_classification(delta: int) -> str | None:
     return None
 
 
-def _proportional_column_pairs(code: CyclicCode):
-    """Yield (i, j, lam) for distinct H-columns with col_i = lam * col_j."""
-    f = code.field
-    cols = [code.H.column(j) for j in range(code.n)]
-    keyed: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for j, col in enumerate(cols):
-        lead = next((v for v in col if v), None)
-        if lead is None:
-            continue
-        inv = f.inv(lead)
-        canon = tuple(f.mul(inv, v) for v in col)
-        keyed.setdefault(canon, []).append((j, lead))
-    for group in keyed.values():
-        for (i, lead_i), (j, lead_j) in combinations(group, 2):
-            yield i, j, f.div(lead_i, lead_j)
+def _components(codes, construction: str):
+    """Check a quantum construction and return (K, sweeps).
+
+    `codes` is one code, or a sequence of one code (Hermitian) or of one
+    or two codes (CSS; one code is paired with itself).  Each sweep is
+    (code, dual_of, mode): a classical component whose confusable pairs
+    are judged against the dual of `dual_of`.  A CSS pair of two equal
+    codes has one sweep, since both of its components are that code.
+    """
+    codes = (codes,) if isinstance(codes, CyclicCode) else tuple(codes)
+    counts = {"hermitian": (1,), "css": (1, 2)}.get(construction)
+    if counts is None:
+        raise ValueError(f"unknown construction {construction!r}")
+    if len(codes) not in counts:
+        raise ValueError(f"a {construction} code takes {' or '.join(map(str, counts))} "
+                         f"generator(s), got {len(codes)}")
+    if construction == "hermitian":
+        (code,) = codes
+        if not hermitian_dual_containing(code):
+            raise NotDualContaining(f"{code!r}: H H^dagger != 0")
+        K = 2 * code.k - code.n
+        sweeps = ((code, code, "hermitian"),)
+    else:
+        c1, c2 = codes if len(codes) == 2 else codes * 2
+        if not css_dual_containing(c1, c2):
+            raise NotDualContaining(f"{c1!r} / {c2!r}: dual containment fails")
+        K = c1.k + c2.k - c1.n
+        sweeps = ((c1, c2, "css"),) if c1.g == c2.g else ((c1, c2, "css"), (c2, c1, "css"))
+    if any(code.r < 1 for code in codes):
+        raise ValueError("the construction needs generators of degree >= 1 (r = 0)")
+    return K, sweeps
 
 
-def _component_sweep(code: CyclicCode, mode: str, dual_of: CyclicCode):
+def _component_sweep(code: CyclicCode, dual_of: CyclicCode, mode: str):
     """One sweep of the limit algorithm against a single classical code.
 
     Returns (L, ell0, flags): L is the first length admitting a
     nondegenerate pair minus one (or the Reiger cap), ell0 likewise for
-    any rank deficiency or syndrome collision at all.
+    any rank deficiency at all.  Width 1 runs even when the cap is 0:
+    its windows hold every single-error collision.
     """
-    n, r = code.n, code.r
-    cap = r // 2
-    flags: list[str] = []
+    cap = code.r // 2
     ell0: int | None = None
-
-    for j in range(n):
-        if all(v == 0 for v in code.H.column(j)):
-            flags.append("zero-column")
-            return 0, 0, tuple(flags)
-
-    for i, j, lam in _proportional_column_pairs(code):
-        e = [0] * n
-        fvec = [0] * n
-        e[i] = 1
-        fvec[j] = lam
-        ell0 = 0
-        if not degeneracy_check(code, tuple(e), tuple(fvec), mode, dual_of):
-            return 0, 0, tuple(flags)
-
-    for ell in range(1, cap + 1):
-        for start in range(0, n - 2 * ell + 1):
+    for ell in range(1, max(cap, 1) + 1):
+        for start in range(code.n - 2 * ell + 1):
             rank, pairs = window_pairs(code, ell, start)
             if rank == ell:
                 continue
@@ -193,58 +199,37 @@ def _component_sweep(code: CyclicCode, mode: str, dual_of: CyclicCode):
                 ell0 = ell - 1
             for e, fvec in pairs:
                 if not degeneracy_check(code, e, fvec, mode, dual_of):
-                    return ell - 1, min(ell0, ell - 1), tuple(flags)
-    flags.append("cap-limited")
-    if ell0 is None:
-        ell0 = cap
-    return cap, ell0, tuple(flags)
+                    return ell - 1, ell0, ()
+    return cap, cap if ell0 is None else ell0, ("cap-limited",)
+
+
+def qcc_burst_limit(codes, construction: str) -> QccReport:
+    """Degenerate and nondegenerate burst limits of a quantum cyclic code
+    ('hermitian': one GF(4) code; 'css': one GF(2) code or a pair).
+
+    Each component is swept on its own, and the code corrects what every
+    component corrects.
+    """
+    K, sweeps = _components(codes, construction)
+    results = [_component_sweep(*sweep) for sweep in sweeps]
+    L = min(L for L, _, _ in results)
+    ell0 = min(ell0 for _, ell0, _ in results)
+    flags = tuple(sorted(set.intersection(*(set(flags) for _, _, flags in results))))
+    gens = tuple(code.g.coeffs for code, _, _ in sweeps)
+    report = QccReport(sweeps[0][0].n, K, L, ell0, construction, gens, flags)
+    if report.delta < 0:
+        raise AssertionError("computed limit violates the quantum Reiger bound")
+    return report
 
 
 def qcc_burst_limit_hermitian(code: CyclicCode) -> QccReport:
     """Degenerate and nondegenerate burst limits of a GF(4) cyclic code."""
-    if not hermitian_dual_containing(code):
-        raise NotDualContaining(f"{code!r}: H H^dagger != 0")
-    L, ell0, flags = _component_sweep(code, "hermitian", code)
-    K = 2 * code.k - code.n
-    report = QccReport(code.n, K, L, ell0, "hermitian", (code.g.coeffs,), flags)
-    if report.delta < 0:
-        raise AssertionError("computed limit violates the quantum Reiger bound")
-    return report
+    return qcc_burst_limit(code, "hermitian")
 
 
 def qcc_burst_limit_css(c1: CyclicCode, c2: CyclicCode | None = None) -> QccReport:
-    """Burst limits of a CSS pair (c2 defaults to c1).
-
-    Bit-flip and phase-flip components are swept independently, each
-    against its own code with degeneracy judged by the other code's
-    dual; the code corrects what both components correct.
-    """
-    if c2 is None:
-        c2 = c1
-    if not css_dual_containing(c1, c2):
-        raise NotDualContaining(f"{c1!r} / {c2!r}: dual containment fails")
-    lx, ell0x, fx = _component_sweep(c1, "css", c2)
-    lz, ell0z, fz = _component_sweep(c2, "css", c1)
-    L = min(lx, lz)
-    ell0 = min(ell0x, ell0z)
-    flags = tuple(sorted(set(fx) & set(fz)))
-    K = c1.k + c2.k - c1.n
-    gens = (c1.g.coeffs,) if c2.g == c1.g else (c1.g.coeffs, c2.g.coeffs)
-    report = QccReport(c1.n, K, L, ell0, "css", gens, flags)
-    if report.delta < 0:
-        raise AssertionError("computed limit violates the quantum Reiger bound")
-    return report
-
-
-def qcc_burst_limit(codes, construction: str) -> QccReport:
-    """Dispatch on construction kind: 'hermitian' or 'css'."""
-    if construction == "hermitian":
-        return qcc_burst_limit_hermitian(codes)
-    if construction == "css":
-        if isinstance(codes, CyclicCode):
-            return qcc_burst_limit_css(codes)
-        return qcc_burst_limit_css(*codes)
-    raise ValueError(f"unknown construction {construction!r}")
+    """Burst limits of a CSS pair (c2 defaults to c1)."""
+    return qcc_burst_limit((c1,) if c2 is None else (c1, c2), "css")
 
 
 # ---------------------------------------------------------------------------
@@ -265,30 +250,14 @@ def brute_force_limit(
     L, the first collision of any kind sets ell0.  Independent of the
     window machinery.
     """
-    if construction == "hermitian":
-        code_list = [(codes, codes, "hermitian")]
-        base = codes
-        if not hermitian_dual_containing(base):
-            raise NotDualContaining(f"{base!r}")
-    elif construction == "css":
-        if isinstance(codes, CyclicCode):
-            c1 = c2 = codes
-        else:
-            c1, c2 = codes
-        if not css_dual_containing(c1, c2):
-            raise NotDualContaining(f"{c1!r} / {c2!r}")
-        code_list = [(c1, c2, "css"), (c2, c1, "css")]
-        base = c1
-    else:
-        raise ValueError(f"unknown construction {construction!r}")
-
-    n = base.n
+    _, sweeps = _components(codes, construction)
+    n = sweeps[0][0].n
     if cap is None:
-        cap = min(c.r // 2 for c, _, _ in code_list)
+        cap = min(code.r // 2 for code, _, _ in sweeps)
     best_any = cap + 1
     best_nondeg = cap + 1
 
-    for code, dual_of, mode in code_list:
+    for code, dual_of, mode in sweeps:
         q = code.field.q
         if burst_count(n, q, cap) >= guard:
             raise ValueError("enumeration guard exceeded; reduce cap or n")

@@ -19,17 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycliccode import (
-    CyclicCode,
-    _burst_patterns,
-    burst_count,
-    code_from_generator,
-    css_dual_containing,
-    hermitian_dual_containing,
-)
+from .cycliccode import CyclicCode, _burst_patterns, burst_count, code_from_generator
 from .galois import GF4
 from .polyring import Polynomial
-from .qccburst import NotDualContaining
+from .qccburst import _components
 
 # ---------------------------------------------------------------------------
 # Trap search and decoding (public, polynomial-level API)
@@ -252,34 +245,14 @@ def burst_census(
     3 = both).  Hermitian codes decode the quaternary pattern directly;
     CSS codes decode it as one GF(4) polynomial over the binary generator
     (equivalent to trapping both component syndromes in one register)
-    and judge degeneracy component-wise against the opposite code's dual.
-    Raises NotDualContaining when the code admits no quantum construction.
+    and judge the degeneracy of each component against the code's dual
+    (only single-code CSS pairs are supported).  Raises NotDualContaining
+    when the code admits no quantum construction.
     """
-    if construction == "hermitian":
-        if code.field.m != 2:
-            raise ValueError("Hermitian census expects a GF(4) code")
-        if not hermitian_dual_containing(code):
-            raise NotDualContaining(f"{code!r}: H H^dagger != 0")
-        gf4_code = code
-        K = 2 * code.k - code.n
-    elif construction == "css":
-        if code.field.m != 1:
-            raise ValueError("CSS census expects a GF(2) code")
-        if code2 is None:
-            code2 = code
-        if code2.g != code.g:
-            raise NotImplementedError("census supports single-code CSS pairs")
-        if not css_dual_containing(code, code2):
-            raise NotDualContaining(f"{code!r}: dual containment fails")
-        gf4_code = code_from_generator(
-            code.n, Polynomial.make(GF4, code.g.coeffs)
-        )
-        K = code.k + code2.k - code.n
-    else:
-        raise ValueError(f"unknown construction {construction!r}")
-
-    if code.r < 1:
-        raise ValueError("census needs a generator of degree >= 1 (r = 0)")
+    K, sweeps = _components(code if code2 is None else (code, code2), construction)
+    if len(sweeps) > 1:
+        raise NotImplementedError("census supports single-code CSS pairs")
+    ((code, _, mode),) = sweeps
     n = code.n
     if lmax is None:
         lmax = (n - K) // 2
@@ -291,6 +264,7 @@ def burst_census(
             f"census of {total_expected} bursts exceeds the guard ({guard})"
         )
 
+    gf4_code = code_from_generator(n, Polynomial.make(GF4, code.g.coeffs))
     decoder = _PackedDecoder(gf4_code)
     digit_syndromes = _position_syndrome_tables(gf4_code)
 
@@ -298,7 +272,7 @@ def burst_census(
     # large duals instead test the conjugated difference against the dual
     # code's own syndrome map (packed per-position tables, XOR to zero).
     set_limit = 1 << 20
-    if construction == "hermitian":
+    if mode == "hermitian":
         if code.field.q ** code.r <= set_limit:
             stabilizer = _dual_codeword_set(code, hermitian=True)
 
@@ -324,14 +298,11 @@ def burst_census(
                 return acc == 0
 
     else:
-        dual1 = _dual_codeword_set(code2, hermitian=False)   # judges X part
-        dual2 = _dual_codeword_set(code, hermitian=False)    # judges Z part
+        dual = _dual_codeword_set(code, hermitian=False)
         x_mask = _pack((1,) * n)
 
         def is_degenerate(diff_packed: int) -> bool:
-            xpart = diff_packed & x_mask
-            zpart = (diff_packed >> 1) & x_mask
-            return xpart in dual1 and zpart in dual2
+            return (diff_packed & x_mask) in dual and ((diff_packed >> 1) & x_mask) in dual
 
     total = exact = decoded = 0
     for pattern in _burst_patterns(4, lmax):

@@ -26,16 +26,13 @@ from pathlib import Path
 from .cycliccode import code_from_generator
 from .galois import GF2, GF4, FieldSpec
 from .polyring import Polynomial, divisor_generators
-from .qccburst import (
-    NotDualContaining,
-    QccReport,
-    qcc_burst_limit_css,
-    qcc_burst_limit_hermitian,
-)
+from .qccburst import NotDualContaining, QccReport, qcc_burst_limit
 from .qetd import QetdStats, burst_census
 from .qrsburst import rs_image_burst_limit, rs_make
 
 FIELDS = {"gf2": GF2, "gf4": GF4}
+# The quantum construction over each field: Hermitian over GF(4), CSS over GF(2).
+CONSTRUCTIONS = {"gf4": "hermitian", "gf2": "css"}
 
 # ---------------------------------------------------------------------------
 # Notation codec
@@ -75,6 +72,15 @@ def emit_generator(p: Polynomial | tuple[int, ...]) -> str:
     return "(" + " ".join(terms) + ")"
 
 
+def _codes(n: int, gens, construction: str):
+    """The cyclic codes of length n with the given generator texts, over
+    the field whose construction is `construction`."""
+    field = next((FIELDS[f] for f, c in CONSTRUCTIONS.items() if c == construction), None)
+    if field is None:
+        raise ValueError(f"unknown construction {construction!r}")
+    return tuple(code_from_generator(n, parse_generator(g, field)) for g in gens)
+
+
 # ---------------------------------------------------------------------------
 # Search
 # ---------------------------------------------------------------------------
@@ -87,8 +93,6 @@ class SearchJob:
     field: str  # "gf2" | "gf4"
     delta_max: int | None = None
     jobs: int = 1
-    out: str | None = None
-    fmt: str = "json"
 
     def lengths(self) -> list[int]:
         q = FIELDS[self.field].q
@@ -105,11 +109,7 @@ def _search_one_length(args: tuple[int, str, int | None]) -> list[QccReport]:
     reports = []
     for g in divisor_generators(n, field, (1, n - 1)):
         try:
-            code = code_from_generator(n, g)
-            if field_name == "gf4":
-                report = qcc_burst_limit_hermitian(code)
-            else:
-                report = qcc_burst_limit_css(code)
+            report = qcc_burst_limit(code_from_generator(n, g), CONSTRUCTIONS[field_name])
         except NotDualContaining:
             continue
         if delta_max is None or report.delta <= delta_max:
@@ -195,13 +195,8 @@ def _parse_nk(text: str) -> tuple[int, int]:
 
 
 def _limit_values(row: dict) -> dict:
-    hermitian = row["construction"] == "hermitian"
-    field = GF4 if hermitian else GF2
-    gens = row["gens"].split(";")
-    if len(gens) > (1 if hermitian else 2):
-        raise ValueError(f"too many generators for a {row['construction']} row: {len(gens)}")
-    codes = [code_from_generator(row["n"], parse_generator(g, field)) for g in gens]
-    rep = qcc_burst_limit_hermitian(*codes) if hermitian else qcc_burst_limit_css(*codes)
+    codes = _codes(row["n"], row["gens"].split(";"), row["construction"])
+    rep = qcc_burst_limit(codes, row["construction"])
     return {"L": rep.L, "delta": rep.delta, "ell0": rep.ell0, "K": rep.K}
 
 
@@ -211,8 +206,7 @@ def _rs_values(row: dict) -> dict:
 
 
 def _census_values(row: dict) -> dict:
-    field = GF4 if row["construction"] == "hermitian" else GF2
-    code = code_from_generator(row["n"], parse_generator(row["gen"], field))
+    (code,) = _codes(row["n"], [row["gen"]], row["construction"])
     stats = burst_census(code, row["construction"])
     return {"ND": stats.decoded, "N0": stats.exact, "N": stats.total}
 
@@ -283,16 +277,9 @@ def verify_tables(directory: Path | None = None, include_slow: bool = False):
 
 
 def _cmd_burst_limit(args) -> int:
-    field = FIELDS[args.field]
-    g = parse_generator(args.gen, field)
-    code = code_from_generator(args.n, g)
-    if args.field == "gf4":
-        if args.gen2:
-            raise ValueError("--gen2 applies to the CSS (gf2) construction only")
-        report = qcc_burst_limit_hermitian(code)
-    else:
-        code2 = code_from_generator(args.n, parse_generator(args.gen2, field)) if args.gen2 else None
-        report = qcc_burst_limit_css(code, code2)
+    construction = CONSTRUCTIONS[args.field]
+    gens = [args.gen, args.gen2] if args.gen2 else [args.gen]
+    report = qcc_burst_limit(_codes(args.n, gens, construction), construction)
     print(json.dumps(report_as_dict(report), sort_keys=True))
     return 0
 
@@ -332,9 +319,8 @@ def _stats_row(stats: QetdStats, gen_text: str) -> str:
 
 
 def _cmd_qetd_sim(args) -> int:
-    field = FIELDS[args.field]
-    code = code_from_generator(args.n, parse_generator(args.gen, field))
-    construction = "hermitian" if args.field == "gf4" else "css"
+    construction = CONSTRUCTIONS[args.field]
+    (code,) = _codes(args.n, [args.gen], construction)
     stats = burst_census(code, construction, lmax=args.lmax)
     print(_stats_row(stats, args.gen))
     return 0
@@ -342,12 +328,12 @@ def _cmd_qetd_sim(args) -> int:
 
 def _cmd_search(args) -> int:
     jobs = args.jobs if args.jobs is not None else int(os.environ.get("QBURST_JOBS", "1"))
-    job = SearchJob(args.n_min, args.n_max, args.field, args.delta_max, jobs, args.out, args.format)
-    payload = report_emit(search(job), job.fmt)
-    if job.out is None or job.out == "-":
+    job = SearchJob(args.n_min, args.n_max, args.field, args.delta_max, jobs)
+    payload = report_emit(search(job), args.format)
+    if args.out is None or args.out == "-":
         sys.stdout.buffer.write(payload)
     else:
-        Path(job.out).write_bytes(payload)
+        Path(args.out).write_bytes(payload)
     return 0
 
 

@@ -116,6 +116,8 @@ def test_limit_dispatch_and_css():
     assert (rep.n, rep.K, rep.L) == (7, 1, 1)
     rep2 = qcc_burst_limit_css(HAMMING, HAMMING)
     assert rep == rep2
+    for code in (HAMMING, make2(15, "(1^4 1^3 1^0)"), make2(21, "(1^9 1^8 1^5 1^4 1^2 1^1 1^0)")):
+        assert qcc_burst_limit_css(code) == qcc_burst_limit_css(code, code)
     with pytest.raises(ValueError):
         qcc_burst_limit(HAMMING, "steane")
 
@@ -129,6 +131,31 @@ def test_not_dual_containing_rejected():
         qcc_burst_limit_hermitian(full)
     with pytest.raises(NotDualContaining):
         brute_force_limit(parity, "css")
+
+
+def test_generator_of_degree_zero_rejected():
+    # g = 1 leaves no stabilizer (r = 0): [[7,7]] is no quantum code to report
+    for codes, construction in (
+        (make4(7, "(1^0)"), "hermitian"),
+        (make2(7, "(1^0)"), "css"),
+        ((make2(7, "(1^3 1^1 1^0)"), make2(7, "(1^0)")), "css"),
+    ):
+        with pytest.raises(ValueError, match="degree"):
+            qcc_burst_limit(codes, construction)
+        with pytest.raises(ValueError, match="degree"):
+            brute_force_limit(codes, construction)
+    with pytest.raises(ValueError, match="degree"):
+        qcc_burst_limit_hermitian(make4(7, "(1^0)"))
+    with pytest.raises(ValueError, match="degree"):
+        qcc_burst_limit_css(make2(7, "(1^0)"))
+
+
+def test_generator_count_checked():
+    with pytest.raises(ValueError, match="generator"):
+        qcc_burst_limit((QUAD5, QUAD5), "hermitian")
+    hamming = make2(7, "(1^3 1^1 1^0)")
+    with pytest.raises(ValueError, match="generator"):
+        qcc_burst_limit((hamming,) * 3, "css")
 
 
 def test_reiger_delta():
@@ -152,17 +179,51 @@ def test_determinism():
     assert a == b
 
 
-def test_monotonicity_and_oracle_small():
+R1_PAIRS = [
+    (make2(7, a), make2(7, b))
+    for a, b in (("(1^1 1^0)", "(1^3 1^1 1^0)"), ("(1^1 1^0)", "(1^3 1^2 1^0)"))
+    for a, b in ((a, b), (b, a))
+]
+
+
+def _small_quantum_codes():
+    """Hermitian codes with n <= 9, single-code CSS codes with odd n <= 21,
+    and CSS pairs at n = 7 with one component of r = 1 (Reiger cap 0)."""
     for n in (3, 5, 7, 9):
         for g in divisor_generators(n, GF4, (1, n - 1)):
-            code = code_from_generator(n, g)
-            try:
-                rep = qcc_burst_limit_hermitian(code)
-            except NotDualContaining:
-                continue
-            assert rep.ell0 <= rep.L <= classical_burst_limit(code)
-            assert brute_force_limit(code, "hermitian") == (rep.L, rep.ell0)
-            assert rep.delta >= 0
+            yield code_from_generator(n, g), "hermitian"
+    for n in range(3, 22, 2):
+        for g in divisor_generators(n, GF2, (1, n - 1)):
+            yield code_from_generator(n, g), "css"
+    for pair in R1_PAIRS:
+        yield pair, "css"
+
+
+def test_monotonicity_and_oracle_small():
+    checked = 0
+    for codes, construction in _small_quantum_codes():
+        try:
+            rep = qcc_burst_limit(codes, construction)
+        except NotDualContaining:
+            continue
+        components = codes if isinstance(codes, tuple) else (codes,)
+        classical = min(classical_burst_limit(c) for c in components)
+        assert rep.ell0 <= rep.L <= classical
+        assert brute_force_limit(codes, construction) == (rep.L, rep.ell0)
+        assert rep.delta >= 0
+        checked += 1
+    assert checked > len(R1_PAIRS) + 12
+
+
+def test_cap_zero_component_flags_match_oracle():
+    # r = 1 gives a Reiger cap of 0, yet the width-1 windows still decide
+    # whether a single-error collision is nondegenerate; the oracle with
+    # cap 1 tells the same (every component here has cap <= 1)
+    for pair in R1_PAIRS:
+        rep = qcc_burst_limit_css(*pair)
+        assert (rep.L, rep.ell0) == (0, 0)
+        one_error_safe = brute_force_limit(pair, "css", cap=1)[0] == 1
+        assert ("cap-limited" in rep.flags) == one_error_safe
 
 
 def test_css_pair_limits_agree_with_oracle():
