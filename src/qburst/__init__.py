@@ -20,7 +20,7 @@ from .galois import (
     field_make,
     self_dual_basis,
 )
-from .matgf import MatrixGF, ReducedForm, conj_transpose, product_is_zero, row_reduce
+from .matgf import MatrixGF, ReducedForm, product_is_zero, row_reduce
 from .polyring import Polynomial, cyclotomic_cosets, divisor_generators, factor_xn_minus_1
 from .qccburst import (
     NotDualContaining,

@@ -99,10 +99,6 @@ class MatrixGF:
         return all(v == 0 for row in self.data for v in row)
 
 
-def conj_transpose(m: MatrixGF) -> MatrixGF:
-    return m.conj_transpose()
-
-
 def product_is_zero(a: MatrixGF, b: MatrixGF) -> bool:
     """True iff A * B is the zero matrix."""
     return a.matmul(b).is_zero

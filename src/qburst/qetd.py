@@ -11,8 +11,9 @@ stabilizer element) count as successes for a quantum code.
 
 The census enumerates every Pauli burst pattern up to a length cutoff,
 decodes each one, and tallies exact / degenerate / failed decodes.  The
-hot path packs field vectors two bits per coordinate, so vector addition
-is a single XOR and coset membership a set lookup.
+hot path packs each burst two bits per coordinate, together with its
+syndromes modulo g and modulo the stabilizer generator, so adding a digit
+is a single XOR and the stabilizer test one comparison.
 """
 
 from __future__ import annotations
@@ -131,15 +132,19 @@ class QetdStats:
 
 
 class _PackedDecoder:
-    """GF(4) trap decoder on syndromes packed two bits per coefficient."""
+    """GF(4) trap decoder on syndromes packed two bits per coefficient.
 
-    def __init__(self, code: CyclicCode):
+    ``image[pos][digit]`` is the packed word emitted for a decoded
+    ``digit`` at ``pos``; a decode is the XOR of those words.
+    """
+
+    def __init__(self, code: CyclicCode, image: list[list[int]]):
         f = code.field
         if f.m != 2:
             raise ValueError("packed decoder works on GF(4) codes")
-        self.code = code
         self.n = code.n
         self.r = code.r
+        self.image = image
         # c * (g - x^r) packed, used to reduce the overflow stage.
         self.gtail = {
             c: _pack(tuple(f.mul(c, gc) for gc in code.g.coeffs[:-1]))
@@ -150,7 +155,8 @@ class _PackedDecoder:
         self._memo_cap = 1 << 20
 
     def decode(self, packed_s: int) -> int:
-        """Packed error vector (2 bits per position) for a packed syndrome."""
+        """Packed decoded word (the XOR of its image entries) for a packed
+        syndrome."""
         hit = self._memo.get(packed_s)
         if hit is not None:
             return hit
@@ -179,7 +185,7 @@ class _PackedDecoder:
         while trapped:
             c = trapped & 3
             if c:
-                out |= c << (2 * ((j + n - best_v) % n))
+                out ^= self.image[(j + n - best_v) % n][c]
             trapped >>= 2
             j += 1
         if len(self._memo) < self._memo_cap:
@@ -216,20 +222,13 @@ def _low_index(packed: int) -> int:
     return ((packed & -packed).bit_length() - 1) // 2
 
 
-def _dual_codeword_set(code: CyclicCode, hermitian: bool) -> frozenset[int]:
-    """All packed elements of the (Hermitian or Euclidean) dual: the XOR
-    span of every scalar multiple of every check row, each conjugated for
-    the Hermitian dual (conjugation is additive, so this spans the
-    conjugated dual)."""
-    f = code.field
-    conj = f.conj if hermitian else (lambda v: v)
-    span = {0}
-    for row in code.H.data:
-        multiples = [0] + [
-            _pack(tuple(conj(f.mul(c, v)) for v in row)) for c in range(1, f.q)
-        ]
-        span = {a ^ b for a in span for b in multiples}
-    return frozenset(span)
+def _stabilizer(code: CyclicCode, mode: str) -> CyclicCode:
+    """The stabilizer as a GF(4) cyclic code.  Its generator s is the
+    conjugated dual generator for a Hermitian code, and the binary dual
+    generator read over GF(4) for a CSS code: X + wZ is a stabilizer iff
+    X and Z both lie in the binary dual."""
+    s = code.dual_g.conjugate() if mode == "hermitian" else code.dual_g
+    return code_from_generator(code.n, Polynomial.make(GF4, s.coeffs))
 
 
 def burst_census(
@@ -244,10 +243,12 @@ def burst_census(
     Pauli digits use the GF(4) encoding (1 = bit flip, 2 = phase flip,
     3 = both).  Hermitian codes decode the quaternary pattern directly;
     CSS codes decode it as one GF(4) polynomial over the binary generator
-    (equivalent to trapping both component syndromes in one register)
-    and judge the degeneracy of each component against the code's dual
-    (only single-code CSS pairs are supported).  Raises NotDualContaining
-    when the code admits no quantum construction.
+    (equivalent to trapping both component syndromes in one register;
+    only single-code CSS pairs are supported).  A decode ehat of a
+    burst e is exact when ehat == e, and degenerate when ehat - e is a
+    stabilizer: when ehat and e have equal syndromes modulo the
+    stabilizer generator s (see `_stabilizer`).  Raises
+    NotDualContaining when the code admits no quantum construction.
     """
     K, sweeps = _components(code if code2 is None else (code, code2), construction)
     if len(sweeps) > 1:
@@ -264,62 +265,37 @@ def burst_census(
             f"census of {total_expected} bursts exceeds the guard ({guard})"
         )
 
+    stabilizer = _stabilizer(code, mode)
     gf4_code = code_from_generator(n, Polynomial.make(GF4, code.g.coeffs))
-    decoder = _PackedDecoder(gf4_code)
-    digit_syndromes = _position_syndrome_tables(gf4_code)
-
-    # Coset membership by set lookup while the dual fits in memory; very
-    # large duals instead test the conjugated difference against the dual
-    # code's own syndrome map (packed per-position tables, XOR to zero).
-    set_limit = 1 << 20
-    if mode == "hermitian":
-        if code.field.q ** code.r <= set_limit:
-            stabilizer = _dual_codeword_set(code, hermitian=True)
-
-            def is_degenerate(diff_packed: int) -> bool:
-                return diff_packed in stabilizer
-
-        else:
-            dual_code = code_from_generator(code.n, code.dual_g)
-            dual_tables = _position_syndrome_tables(dual_code)
-            odd_mask = _pack((2,) * n)
-
-            def is_degenerate(diff_packed: int) -> bool:
-                # conjugation swaps the values 2 and 3 in every position
-                conj = diff_packed ^ ((diff_packed & odd_mask) >> 1)
-                acc = 0
-                pos = 0
-                while conj:
-                    d = conj & 3
-                    if d:
-                        acc ^= dual_tables[pos][d]
-                    conj >>= 2
-                    pos += 1
-                return acc == 0
-
-    else:
-        dual = _dual_codeword_set(code, hermitian=False)
-        x_mask = _pack((1,) * n)
-
-        def is_degenerate(diff_packed: int) -> bool:
-            return (diff_packed & x_mask) in dual and ((diff_packed >> 1) & x_mask) in dual
+    # table[pos][digit] packs, from bit 0 up: the digit at pos, its
+    # syndrome modulo s (from bit 2n) and its syndrome modulo g (from top).
+    top = 2 * (n + stabilizer.r)
+    stab_tables = _position_syndrome_tables(stabilizer)
+    g_tables = _position_syndrome_tables(gf4_code)
+    table = [
+        [(d << 2 * pos) | (stab_tables[pos][d] << 2 * n) | (g_tables[pos][d] << top)
+         for d in range(4)]
+        for pos in range(n)
+    ]
+    low = (1 << top) - 1
+    decode = _PackedDecoder(gf4_code, [[word & low for word in row] for row in table]).decode
+    s_syndrome = 1 << 2 * n  # lowest bit of the syndrome modulo s
 
     total = exact = decoded = 0
     for pattern in _burst_patterns(4, lmax):
         length = len(pattern)
         for start in range(0, n - length + 1):
-            synd = 0
-            err = 0
+            acc = 0
             for off, digit in enumerate(pattern):
                 if digit:
-                    synd ^= digit_syndromes[start + off][digit]
-                    err |= digit << (2 * (start + off))
+                    acc ^= table[start + off][digit]
             total += 1
-            ehat = decoder.decode(synd)
-            if ehat == err:
+            # below bit 2n: ehat - e; above it: their syndromes modulo s, XORed
+            miss = decode(acc >> top) ^ (acc & low)
+            if miss == 0:
                 exact += 1
                 decoded += 1
-            elif is_degenerate(ehat ^ err):
+            elif miss < s_syndrome:
                 decoded += 1
 
     if total != total_expected:

@@ -3,18 +3,18 @@ import random
 import pytest
 
 from qburst.galois import GF2, GF4, OMEGA, OMEGA_BAR, field_make
-from qburst.matgf import MatrixGF, conj_transpose, product_is_zero, rank, row_reduce
+from qburst.matgf import MatrixGF, product_is_zero, rank, row_reduce
 from qburst.cycliccode import code_from_generator
 from qburst.polyring import Polynomial
 
 
 def test_conj_transpose_examples():
     m = MatrixGF.make(GF4, [[OMEGA]])
-    assert conj_transpose(m).data == ((OMEGA_BAR,),)
+    assert m.conj_transpose().data == ((OMEGA_BAR,),)
     eye = MatrixGF.identity(GF4, 3)
-    assert conj_transpose(eye).data == eye.data
+    assert eye.conj_transpose().data == eye.data
     m2 = MatrixGF.make(GF2, [[1, 0, 1], [0, 1, 1]])
-    assert conj_transpose(m2).data == m2.transpose().data
+    assert m2.conj_transpose().data == m2.transpose().data
 
 
 def test_conj_transpose_involution():
@@ -22,7 +22,7 @@ def test_conj_transpose_involution():
     for _ in range(50):
         rows = [[rng.randrange(4) for _ in range(4)] for _ in range(3)]
         m = MatrixGF.make(GF4, rows)
-        assert conj_transpose(conj_transpose(m)).data == m.data
+        assert m.conj_transpose().conj_transpose().data == m.data
 
 
 def test_row_reduce_identity():
@@ -91,4 +91,4 @@ def test_product_is_zero():
         a.matmul(MatrixGF.zeros(GF4, 3, 1))
     # parity-check matrix of the [5,3]_4 code annihilates its conjugate transpose
     code = code_from_generator(5, Polynomial.make(GF4, (1, OMEGA, 1)))
-    assert product_is_zero(code.H, conj_transpose(code.H))
+    assert product_is_zero(code.H, code.H.conj_transpose())

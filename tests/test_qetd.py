@@ -16,7 +16,8 @@ from qburst.cycliccode import (
 from qburst.qccburst import NotDualContaining, degeneracy_check
 from qburst.qetd import (
     QetdStats,
-    _dual_codeword_set,
+    _position_syndrome_tables,
+    _stabilizer,
     burst_census,
     css_decode,
     trap_decode,
@@ -174,30 +175,83 @@ def test_census_rejects_codes_without_quantum_construction():
         burst_census(trivial, "hermitian", lmax=1)
 
 
-def test_dual_codeword_set_is_the_dual():
-    # The set is XOR-closed when it has 2^b elements, b the GF(2) rank of its
-    # span; with q^r elements and a basis of that span inside the dual (which
-    # has q^r elements and is XOR-closed), every element lies in the dual.
-    for field in (GF2, GF4):
+def _stabilizer_member(code, mode, vec):
+    """Dual membership of a Pauli vector: Hermitian dual of a GF(4) code, or
+    both bit planes (X = bit 0, Z = bit 1) in the binary Euclidean dual."""
+    if mode == "hermitian":
+        return in_hermitian_dual(code, vec)
+    return in_euclidean_dual(code, tuple(d & 1 for d in vec)) and in_euclidean_dual(
+        code, tuple(d >> 1 for d in vec)
+    )
+
+
+def _packed_syndrome(tables, vec):
+    acc = 0
+    for pos, d in enumerate(vec):
+        acc ^= tables[pos][d]
+    return acc
+
+
+def test_stabilizer_syndrome_is_dual_membership():
+    # the census calls ehat - e degenerate iff its packed syndrome modulo the
+    # stabilizer generator is 0; that must be membership in the dual
+    rng = random.Random(41)
+    for field, mode in ((GF4, "hermitian"), (GF2, "css")):
         for n in range(3, 16, 2):
             for g in divisor_generators(n, field, (1, n - 1)):
                 code = code_from_generator(n, g)
-                if field.q ** code.r > 4**6:
+                tables = _position_syndrome_tables(_stabilizer(code, mode))
+                if mode == "hermitian":
+                    rows = [tuple(GF4.conj(v) for v in row) for row in code.H.data]
+                else:
+                    # X rows as digit 1, Z rows as digit 2
+                    rows = list(code.H.data) + [tuple(2 * v for v in row) for row in code.H.data]
+                for trial in range(20):
+                    if trial % 2:
+                        vec = tuple(rng.randrange(4) for _ in range(n))
+                    else:
+                        vec = [0] * n
+                        for row in rows:
+                            c = rng.randrange(4 if mode == "hermitian" else 2)
+                            vec = [a ^ GF4.mul(c, b) for a, b in zip(vec, row)]
+                        vec = tuple(vec)
+                    member = _stabilizer_member(code, mode, vec)
+                    assert (_packed_syndrome(tables, vec) == 0) == member, (code, mode, vec)
+                    assert member or trial % 2, (code, mode, vec)
+
+
+def _census_oracle(code, mode, lmax):
+    """(N, N0, ND) by decoding each burst with the polynomial decoder on the
+    GF(4)-lifted code and judging ehat - e by dual membership."""
+    lifted = code_from_generator(code.n, Polynomial.make(GF4, code.g.coeffs))
+    total = exact = decoded = 0
+    for pattern in _burst_patterns(4, lmax):
+        for start in range(code.n - len(pattern) + 1):
+            e = BurstPattern(start, pattern).as_vector(code.n)
+            ehat = trap_decode(vec_syndrome_poly(lifted, e), lifted)
+            total += 1
+            if ehat == e:
+                exact += 1
+                decoded += 1
+            elif _stabilizer_member(code, mode, tuple(a ^ b for a, b in zip(ehat, e))):
+                decoded += 1
+    return total, exact, decoded
+
+
+def test_census_matches_polynomial_oracle():
+    checked = 0
+    for field, mode in ((GF4, "hermitian"), (GF2, "css")):
+        for n in (3, 5, 7, 9, 11, 13):
+            for g in divisor_generators(n, field, (1, n - 1)):
+                code = code_from_generator(n, g)
+                try:
+                    stats = burst_census(code, mode, lmax=None if n <= 9 else 3)
+                except NotDualContaining:
                     continue
-                for hermitian, member in ((True, in_hermitian_dual), (False, in_euclidean_dual)):
-                    dual = _dual_codeword_set(code, hermitian)
-                    assert len(dual) == field.q ** code.r
-                    basis = []
-                    for v in dual:
-                        for b in basis:
-                            v = min(v, v ^ b)
-                        if v:
-                            basis.append(v)
-                            basis.sort(reverse=True)
-                    assert 2 ** len(basis) == len(dual)
-                    for packed in basis:
-                        vec = tuple((packed >> (2 * i)) & 3 for i in range(n))
-                        assert member(code, vec), (code, hermitian, vec)
+                got = (stats.total, stats.exact, stats.decoded)
+                assert got == _census_oracle(code, mode, stats.lmax), (code, mode)
+                checked += 1
+    assert checked == 8
 
 
 def test_census_guard():

@@ -2,12 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import qburst
 from qburst.galois import GF2, GF4
 from qburst.polyring import Polynomial, divisor_generators
 from qburst.searchcli import (
@@ -136,6 +140,28 @@ def test_cli_qetd_sim(capsys):
 def test_cli_input_error(capsys):
     assert main(["burst-limit", "--n", "7", "--field", "gf2", "--gen", "(2^1 1^0)"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_module_form_runs_the_cli():
+    # `python -m qburst` from an uninstalled checkout: one stderr line on an
+    # input error, JSON on success
+    src = str(Path(qburst.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(kq):
+        return subprocess.run(
+            [sys.executable, "-m", "qburst", "rs-limit", "--m", "3", "--kq", kq],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    bad = run("7")
+    assert bad.returncode == 1
+    assert bad.stdout == ""
+    assert len(bad.stderr.splitlines()) == 1 and bad.stderr.startswith("error:")
+    good = run("1")
+    assert good.returncode == 0 and good.stderr == ""
+    assert json.loads(good.stdout)["n"] == 7
 
 
 def test_cli_search_to_file(tmp_path, capsys):
