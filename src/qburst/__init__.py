@@ -14,7 +14,6 @@ from .cycliccode import (
 from .galois import (
     GF2,
     GF4,
-    FieldElement,
     FieldSpec,
     SelfDualBasis,
     field_make,

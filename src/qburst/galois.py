@@ -152,12 +152,6 @@ class FieldSpec:
             raise ValueError(f"element {a} out of range for GF(2^{self.m})")
         return a
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
-    sub = add
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -232,45 +226,6 @@ GF4 = field_make(2)
 
 OMEGA = 2
 OMEGA_BAR = 3
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element bound to its field, with operator arithmetic."""
-
-    value: int
-    field: FieldSpec
-
-    def __post_init__(self) -> None:
-        self.field.check(self.value)
-
-    def _coerce(self, other: FieldElement) -> int:
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise ValueError("operands belong to different fields")
-        return other.value
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        return FieldElement(self.value ^ self._coerce(other), self.field)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        return FieldElement(self.field.mul(self.value, self._coerce(other)), self.field)
-
-    def __truediv__(self, other: FieldElement) -> FieldElement:
-        return FieldElement(self.field.div(self.value, self._coerce(other)), self.field)
-
-    def __pow__(self, e: int) -> FieldElement:
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def conj(self) -> FieldElement:
-        return FieldElement(self.field.conj(self.value), self.field)
-
-    def trace(self, base_m: int = 1) -> FieldElement:
-        return FieldElement(self.field.trace(self.value, base_m), self.field)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,10 @@
 """Polynomials over GF(2^m), cyclotomic cosets, and divisors of x^n - 1.
 
+A polynomial is one int holding coefficient i in bits i*m .. i*m + m - 1,
+so addition is XOR.  A product, a scaling or a long division XORs shifted
+scalar multiples c * p of one operand; each polynomial computes its q
+multiples once, for all of its coefficients at a time, and keeps them.
+
 x^n - 1 (n coprime to q) is factored over the base field itself by
 Berlekamp splitting.  The coset sums b_C = sum_{j in C} x^j, one per
 cyclotomic coset C of q modulo n, satisfy b_C^q = b_C modulo x^n - 1, so
@@ -13,7 +18,7 @@ of a cyclic code of length n is then a subset product of these factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterator
 
@@ -22,65 +27,96 @@ from .galois import FieldSpec
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense polynomial; coeffs[i] is the (integer-encoded) coefficient of x^i.
+    """Dense polynomial over `field`; ``bits`` packs coefficient i
+    (integer-encoded) into bits i*m .. i*m + m - 1.
 
-    Kept in canonical trimmed form: the leading coefficient is nonzero
-    unless the polynomial is zero (empty coefficient tuple, degree -1).
+    Every int >= 0 is canonical, 0 being the zero polynomial.  ``make``
+    builds from a coefficient sequence, low degree first, and checks each
+    coefficient, since a digit >= q would spill into its neighbour; the raw
+    constructor takes a packed int as it is.  ``coeffs`` reads the
+    coefficients back as a tuple without trailing zeros.
     """
 
     field: FieldSpec
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("coefficients not in trimmed canonical form")
+    bits: int
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def make(field: FieldSpec, coeffs) -> Polynomial:
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        for c in cs:
-            field.check(c)
-        return Polynomial(field, tuple(cs))
+        m = field.m
+        bits = 0
+        for i, c in enumerate(coeffs):
+            if c:
+                bits |= field.check(c) << (i * m)
+        return Polynomial(field, bits)
 
     @staticmethod
     def zero(field: FieldSpec) -> Polynomial:
-        return Polynomial(field, ())
+        return Polynomial(field, 0)
 
     @staticmethod
     def one(field: FieldSpec) -> Polynomial:
-        return Polynomial(field, (1,))
+        return Polynomial(field, 1)
 
     @staticmethod
-    def x_pow(field: FieldSpec, e: int, c: int = 1) -> Polynomial:
-        if c == 0:
-            return Polynomial.zero(field)
-        return Polynomial(field, (0,) * e + (c,))
+    def x_pow(field: FieldSpec, e: int) -> Polynomial:
+        return Polynomial(field, 1 << (e * field.m))
 
     @staticmethod
     def xn_minus_1(field: FieldSpec, n: int) -> Polynomial:
         # characteristic 2: x^n - 1 = x^n + 1
-        return Polynomial(field, (1,) + (0,) * (n - 1) + (1,))
+        return Polynomial(field, 1 | 1 << (n * field.m))
 
     # -- queries --------------------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        m = self.field.m
+        return (self.bits.bit_length() + m - 1) // m - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.bits
+
+    @property
+    def lead(self) -> int:
+        """Leading coefficient (0 for the zero polynomial)."""
+        return self.bits >> (max(self.degree, 0) * self.field.m)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return self.lead == 1
 
     def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        return (self.bits >> (i * self.field.m)) & (self.field.q - 1) if i >= 0 else 0
+
+    @cached_property
+    def coeffs(self) -> tuple[int, ...]:
+        m, mask = self.field.m, self.field.q - 1
+        return tuple((self.bits >> (i * m)) & mask for i in range(self.degree + 1))
+
+    @cached_property
+    def _multiples(self) -> list[int]:
+        """Packed c * self at index c, for every element c of the field.
+
+        Multiplying every coefficient by x at once shifts each digit up
+        by one bit and reduces the digits whose top bit overflowed by the
+        field modulus.  c * self is the XOR of x^j * self over the set
+        bits j of c.
+        """
+        f = self.field
+        m = f.m
+        ones = ((1 << (m * (self.degree + 1))) - 1) // (f.q - 1)  # bit 0 of each digit
+        tops = ones << (m - 1)
+        reduction = f.modulus ^ f.q  # x^m as a field element
+        p = self.bits
+        multiples = [0, p]
+        for _ in range(m - 1):
+            top = p & tops
+            p = ((p ^ top) << 1) ^ ((top >> (m - 1)) * reduction)
+            multiples += [v ^ p for v in multiples]
+        return multiples
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -90,54 +126,48 @@ class Polynomial:
 
     def __add__(self, other: Polynomial) -> Polynomial:
         self._same_field(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] ^= c
-        return Polynomial.make(self.field, out)
+        return Polynomial(self.field, self.bits ^ other.bits)
 
     __sub__ = __add__
 
     def __mul__(self, other: Polynomial) -> Polynomial:
         self._same_field(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero(self.field)
-        f = self.field
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] ^= f.mul(a, b)
-        return Polynomial.make(f, out)
+        m, mask = self.field.m, self.field.q - 1
+        multiples = other._multiples
+        a, out, shift = self.bits, 0, 0
+        while a:
+            c = a & mask
+            if c:
+                out ^= multiples[c] << shift
+            a >>= m
+            shift += m
+        return Polynomial(self.field, out)
 
     def scale(self, c: int) -> Polynomial:
-        f = self.field
-        return Polynomial.make(f, [f.mul(c, a) for a in self.coeffs])
+        return Polynomial(self.field, self._multiples[c])
 
     def __divmod__(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
         self._same_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        rem = list(self.coeffs)
+        m = f.m
         db = other.degree
-        lead_inv = f.inv(other.coeffs[-1])
-        if self.degree < db:
-            return Polynomial.zero(f), self
-        quot = [0] * (self.degree - db + 1)
-        for i in range(self.degree - db, -1, -1):
-            c = rem[i + db]
-            if c == 0:
-                continue
-            factor = f.mul(c, lead_inv)
-            quot[i] = factor
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] ^= f.mul(factor, b)
-        return Polynomial.make(f, quot), Polynomial.make(f, rem)
+        lead_inv = f.inv(other.lead)
+        multiples = other._multiples
+        rem, quot = self.bits, 0
+        d = self.degree
+        while d >= db:
+            # cancel the leading coefficient of rem with a shifted multiple;
+            # a monic divisor (the common case) needs no scaling
+            c = rem >> (d * m)
+            if lead_inv != 1:
+                c = f.mul(c, lead_inv)
+            shift = (d - db) * m
+            rem ^= multiples[c] << shift
+            quot |= c << shift
+            d = (rem.bit_length() + m - 1) // m - 1
+        return Polynomial(f, quot), Polynomial(f, rem)
 
     def __mod__(self, other: Polynomial) -> Polynomial:
         return divmod(self, other)[1]
@@ -145,16 +175,24 @@ class Polynomial:
     def monic(self) -> Polynomial:
         if self.is_zero or self.is_monic:
             return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
+        return self.scale(self.field.inv(self.lead))
 
     def reciprocal(self) -> Polynomial:
         """x^deg * p(1/x), trimmed (assumes nonzero constant term use-cases)."""
-        return Polynomial.make(self.field, tuple(reversed(self.coeffs)))
+        m = self.field.m
+        bits = 0
+        for c in self.coeffs:
+            bits = (bits << m) | c
+        return Polynomial(self.field, bits)
 
     def conjugate(self) -> Polynomial:
         """Coefficient-wise conjugation (GF(4): x -> x^2)."""
         f = self.field
-        return Polynomial.make(f, [f.conj(c) for c in self.coeffs])
+        m = f.m
+        bits = 0
+        for i, c in enumerate(self.coeffs):
+            bits |= f.conj(c) << (i * m)
+        return Polynomial(f, bits)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -205,7 +243,7 @@ def _factorization(n: int, field: FieldSpec) -> tuple[Polynomial, ...]:
         for p in parts:
             residue = b % p
             for c in field.elements():
-                d = _monic_gcd(p, residue - Polynomial.x_pow(field, 0, c))
+                d = _monic_gcd(p, residue - Polynomial(field, c))
                 if d.degree > 0:
                     split.append(d)
         parts = split

@@ -10,9 +10,10 @@ decodes (representative differing from the channel error by a
 stabilizer element) count as successes for a quantum code.
 
 The census enumerates every Pauli burst pattern up to a length cutoff,
-decodes each one, and tallies exact / degenerate / failed decodes.  The
-hot path packs each burst two bits per coordinate, together with its
-syndromes modulo g and modulo the stabilizer generator, so adding a digit
+decodes each one, and tallies exact / degenerate / failed decodes.  Its
+hot path keeps each burst as one int in the GF(4) packing of `polyring`
+(two bits per coordinate), followed by its syndromes modulo the
+stabilizer generator and modulo g in the same packing, so adding a digit
 is a single XOR and the stabilizer test one comparison.
 """
 
@@ -146,10 +147,7 @@ class _PackedDecoder:
         self.r = code.r
         self.image = image
         # c * (g - x^r) packed, used to reduce the overflow stage.
-        self.gtail = {
-            c: _pack(tuple(f.mul(c, gc) for gc in code.g.coeffs[:-1]))
-            for c in (1, 2, 3)
-        }
+        self.gtail = {c: code.g.scale(c).bits ^ (c << 2 * self.r) for c in (1, 2, 3)}
         self.top_shift = 2 * (self.r - 1)
         self._memo: dict[int, int] = {0: 0}
         self._memo_cap = 1 << 20
@@ -193,28 +191,16 @@ class _PackedDecoder:
         return out
 
 
-def _pack(vec) -> int:
-    out = 0
-    for i, c in enumerate(vec):
-        if c:
-            out |= c << (2 * i)
-    return out
-
-
 def _position_syndrome_tables(code: CyclicCode) -> list[list[int]]:
     """tables[pos][digit] = packed syndrome of digit * x^pos modulo g."""
-    f = code.field
     g = code.g
-    x = Polynomial.x_pow(f, 1)
-    xpow = Polynomial.one(f)
+    x = Polynomial.x_pow(code.field, 1)
+    xpow = Polynomial.one(code.field)
     tables = []
     for pos in range(code.n):
         if pos:
             xpow = (xpow * x) % g
-        per_digit = [0] * 4
-        for c in range(1, 4):
-            per_digit[c] = _pack(tuple(f.mul(c, v) for v in xpow.coeffs))
-        tables.append(per_digit)
+        tables.append([0] + [xpow.scale(d).bits for d in (1, 2, 3)])
     return tables
 
 
@@ -235,25 +221,21 @@ def burst_census(
     code: CyclicCode,
     construction: str,
     lmax: int | None = None,
-    code2: CyclicCode | None = None,
     guard: int = 10**9,
 ) -> QetdStats:
     """Decode every Pauli burst of length up to lmax and tally outcomes.
 
     Pauli digits use the GF(4) encoding (1 = bit flip, 2 = phase flip,
-    3 = both).  Hermitian codes decode the quaternary pattern directly;
-    CSS codes decode it as one GF(4) polynomial over the binary generator
-    (equivalent to trapping both component syndromes in one register;
-    only single-code CSS pairs are supported).  A decode ehat of a
+    3 = both).  Hermitian codes decode the quaternary pattern directly.
+    A CSS code is the binary code paired with itself; its pattern is
+    decoded as one GF(4) polynomial over the binary generator, which
+    traps both component syndromes in one register.  A decode ehat of a
     burst e is exact when ehat == e, and degenerate when ehat - e is a
     stabilizer: when ehat and e have equal syndromes modulo the
     stabilizer generator s (see `_stabilizer`).  Raises
     NotDualContaining when the code admits no quantum construction.
     """
-    K, sweeps = _components(code if code2 is None else (code, code2), construction)
-    if len(sweeps) > 1:
-        raise NotImplementedError("census supports single-code CSS pairs")
-    ((code, _, mode),) = sweeps
+    K, ((code, _, mode),) = _components(code, construction)
     n = code.n
     if lmax is None:
         lmax = (n - K) // 2

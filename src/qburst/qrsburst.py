@@ -66,7 +66,6 @@ def reference_self_dual_basis(field: FieldSpec) -> SelfDualBasis:
 def rs_make(
     m: int,
     K_quantum: int,
-    modulus: int | None = None,
     basis: SelfDualBasis | None = None,
 ) -> RsCode:
     """Narrow-sense RS code over GF(2^m) for the quantum parameters [[n, K]].
@@ -76,7 +75,7 @@ def rs_make(
     the canonical primitive element.  Dual containment is verified by
     one divisibility test: g divides the dual generator.
     """
-    field = field_make(m, modulus)
+    field = field_make(m)
     n = field.q - 1
     if (n + K_quantum) % 2 != 0:
         raise ValueError(

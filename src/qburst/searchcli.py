@@ -233,9 +233,12 @@ def verify_tables(directory: Path | None = None, include_slow: bool = False):
 
     Rows flagged `slow` are skipped unless requested; rows flagged
     `expected-discrepancy` may mismatch (or fail to compute) without
-    counting against the exit status.
+    counting against the exit status.  Raises ValueError when the
+    directory holds none of the table files.
     """
     directory = Path(directory) if directory is not None else fixtures_dir()
+    if not any((directory / file_name).exists() for file_name, *_ in _TABLES):
+        raise ValueError(f"no fixture tables in {directory}")
     lines: list[str] = []
     unexpected = 0
     for file_name, columns, label, template, compute in _TABLES:

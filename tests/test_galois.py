@@ -8,7 +8,6 @@ from qburst.galois import (
     GF4,
     OMEGA,
     OMEGA_BAR,
-    FieldElement,
     field_make,
     self_dual_basis,
 )
@@ -99,19 +98,6 @@ def test_trace_examples():
         assert f16.pow(t, 4) == t  # lands in the subfield fixed by x -> x^4
     with pytest.raises(ValueError):
         f16.trace(3, base_m=3)
-
-
-def test_field_element_operators():
-    a = FieldElement(OMEGA, GF4)
-    b = FieldElement(OMEGA_BAR, GF4)
-    assert (a * b).value == 1
-    assert (a + b).value == 1
-    assert (a / a).value == 1
-    assert (a + b) - b == a
-    with pytest.raises(ValueError):
-        a + FieldElement(1, GF2)
-    with pytest.raises(ZeroDivisionError):
-        a / FieldElement(0, GF4)
 
 
 @given(st.integers(1, 15), st.integers(0, 60), st.integers(0, 60))

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qburst.galois import GF2, GF4
+from qburst.cycliccode import code_from_generator, syndrome
+from qburst.galois import GF2, GF4, field_make
 from qburst.polyring import (
     Polynomial,
     cyclotomic_cosets,
@@ -37,19 +38,81 @@ def test_poly_arith_dispatch():
     assert divmod(a, b) == (a, Polynomial.zero(GF2))
 
 
-coeff_lists = st.lists(st.integers(0, 3), min_size=0, max_size=12)
+GF64 = field_make(6)
+FIELDS = (GF2, GF4, GF64)
+
+
+def coeff_lists(field):
+    return st.lists(st.integers(0, field.q - 1), min_size=0, max_size=12)
+
+
+field_and_two_lists = st.sampled_from(FIELDS).flatmap(
+    lambda f: st.tuples(st.just(f), coeff_lists(f), coeff_lists(f))
+)
 
 
 @settings(max_examples=200)
-@given(coeff_lists, coeff_lists)
-def test_divmod_reconstructs(ac, bc):
-    a = Polynomial.make(GF4, ac)
-    b = Polynomial.make(GF4, bc)
+@given(field_and_two_lists)
+def test_divmod_reconstructs(drawn):
+    field, ac, bc = drawn
+    a = Polynomial.make(field, ac)
+    b = Polynomial.make(field, bc)
     if b.is_zero:
         return
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
+
+
+def _trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@settings(max_examples=200)
+@given(field_and_two_lists, st.integers(0, 63))
+def test_packed_arithmetic_matches_coefficients(drawn, c):
+    # every packed operation against its definition on coefficient tuples
+    f, ac, bc = drawn
+    c %= f.q
+    A, B = Polynomial.make(f, ac), Polynomial.make(f, bc)
+    a, b = _trimmed(ac), _trimmed(bc)
+    assert A.coeffs == a and A.degree == len(a) - 1
+    assert [A.coeff(i) for i in range(-1, len(ac) + 2)] == [0, *a, *[0] * (len(ac) + 2 - len(a))]
+    schoolbook = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            schoolbook[i + j] ^= f.mul(x, y)
+    assert (A * B).coeffs == _trimmed(schoolbook)
+    assert (A + B).coeffs == _trimmed(
+        x ^ y for x, y in zip(a + (0,) * len(b), b + (0,) * len(a))
+    )
+    assert A.scale(c).coeffs == _trimmed(f.mul(c, x) for x in a)
+    lead_inv = f.inv(a[-1]) if a else 0
+    assert A.monic().coeffs == _trimmed(f.mul(lead_inv, x) for x in a)
+    assert A.reciprocal().coeffs == _trimmed(reversed(a))
+    if f.m <= 2:
+        assert A.conjugate().coeffs == tuple(f.conj(x) for x in a)
+    elif not A.is_zero:
+        with pytest.raises(ValueError):
+            A.conjugate()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["gf2", "gf4", "gf64"])
+def test_make_rejects_digits_outside_the_field(field):
+    # a digit >= q would spill into the neighbouring packed coefficient
+    for bad in (field.q, -1):
+        for coeffs in ((bad,), (1, bad), (bad, 0, 1)):
+            with pytest.raises(ValueError):
+                Polynomial.make(field, coeffs)
+
+
+def test_syndrome_rejects_digit_outside_gf4():
+    code = code_from_generator(5, P(GF4, 1, 2, 1))
+    with pytest.raises(ValueError):
+        syndrome(code, (4, 0, 0, 0, 0))
 
 
 def test_cyclotomic_coset_examples():

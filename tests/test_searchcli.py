@@ -218,6 +218,16 @@ def test_cli_verify_tables_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("subdir", [None, "nonexistent"], ids=["empty", "missing"])
+def test_cli_verify_tables_without_tables_fails(tmp_path, subdir):
+    # a mistyped --fixtures path must not "verify" zero rows
+    directory = tmp_path / subdir if subdir else tmp_path
+    rc, out, err = _run_main(["verify-tables", "--fixtures", str(directory)])
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: no fixture tables in {directory}\n"
+
+
 def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["rs-limit", "--m", "4", "--kq", "5"])
