@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .galois import FieldSpec
 from .matgf import MatrixGF
@@ -195,22 +196,12 @@ def burst_length(v) -> int:
 
 def _burst_patterns(q: int, lmax: int):
     """Digit tuples over GF(q), nonzero at both ends, of every length
-    1..lmax; length by length, and depth-first within a length."""
+    1..lmax, length by length."""
     nonzero = range(1, q)
-    for length in range(1, lmax + 1):
-        if length == 1:
-            for c in nonzero:
-                yield (c,)
-            continue
-        stack: list[tuple[int, ...]] = [(c,) for c in nonzero]
-        while stack:
-            prefix = stack.pop()
-            if len(prefix) == length - 1:
-                for c in nonzero:
-                    yield prefix + (c,)
-                continue
-            for c in range(q):
-                stack.append(prefix + (c,))
+    if lmax >= 1:
+        yield from ((c,) for c in nonzero)
+    for length in range(2, lmax + 1):
+        yield from product(nonzero, *[range(q)] * (length - 2), nonzero)
 
 
 def burst_count(n: int, q: int, lmax: int) -> int:

@@ -9,19 +9,23 @@ representative, which is then rotated back into place.  Degenerate
 decodes (representative differing from the channel error by a
 stabilizer element) count as successes for a quantum code.
 
-The census enumerates every Pauli burst pattern up to a length cutoff,
-decodes each one, and tallies exact / degenerate / failed decodes.  Its
-hot path keeps each burst as one int in the GF(4) packing of `polyring`
-(two bits per coordinate), followed by its syndromes modulo the
-stabilizer generator and modulo g in the same packing, so adding a digit
-is a single XOR and the stabilizer test one comparison.
+The census decodes every Pauli burst up to a length cutoff and tallies
+exact / degenerate / failed decodes.  It traps each pattern p once, not
+once per start: x^t p has syndrome x^t S0 mod g, and x^n = 1 modulo g,
+so start t sees the shifted syndromes of S0 read cyclically from shift t
+and decodes at the first tied shortest trap k >= t (wrapping round), to
+x^t times the decode at k.  Exactness and stabilizer membership are
+shift-invariant, so tie k classifies the interval of starts that pick it.
+A codeword (zero syndrome) decodes to 0 at every start.  The decoder and
+the stabilizer code are GF(4)-linear, so c p decodes like p: only the
+patterns whose first digit is 1 are trapped, each counted three times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycliccode import CyclicCode, _burst_patterns, burst_count, code_from_generator
+from .cycliccode import CyclicCode, burst_count, code_from_generator
 from .galois import GF4
 from .polyring import Polynomial
 from .qccburst import _components
@@ -140,72 +144,58 @@ class _PackedDecoder:
     """
 
     def __init__(self, code: CyclicCode, image: list[list[int]]):
-        f = code.field
-        if f.m != 2:
-            raise ValueError("packed decoder works on GF(4) codes")
         self.n = code.n
         self.r = code.r
-        self.image = image
-        # c * (g - x^r) packed, used to reduce the overflow stage.
-        self.gtail = {c: code.g.scale(c).bits ^ (c << 2 * self.r) for c in (1, 2, 3)}
-        self.top_shift = 2 * (self.r - 1)
-        self._memo: dict[int, int] = {0: 0}
-        self._memo_cap = 1 << 20
+        # chunks[pos][v]: the image of the four digits of v at pos..pos+3
+        self.chunks = [
+            _digit_sums([image[(pos + t) % self.n] for t in range(4)]) for pos in range(self.n)
+        ]
+        # c * g packed: XORed in after a shift, it clears an overflow digit c.
+        self.gmul = [code.g.scale(c).bits for c in range(4)]
 
-    def decode(self, packed_s: int) -> int:
-        """Packed decoded word (the XOR of its image entries) for a packed
-        syndrome."""
-        hit = self._memo.get(packed_s)
-        if hit is not None:
-            return hit
-        n, r = self.n, self.r
-        mask = (1 << (2 * r)) - 1
-        best_z = None
-        best_v = 0
-        best_trapped = 0
+    def ties(self, packed_s: int) -> list[tuple[int, int]]:
+        """Every shift whose register traps the shortest burst, with that
+        register, in increasing shift order.  A zero syndrome decodes to 0,
+        as the single tie (0, 0)."""
+        if not packed_s:
+            return [(0, 0)]
+        overflow, top_shift, gmul = 2 * self.r, 2 * (self.r - 1), self.gmul
+        # a register ties the best one when its stages below the best's
+        # lowest occupied stage are empty, and beats it when that is too
+        tie_mask = beat_mask = 0
+        ties: list[tuple[int, int]] = []
         cur = packed_s
-        for i in range(n):
-            if i:
-                cur <<= 2
-                top = (cur >> (2 * r)) & 3
-                if top:
-                    cur = (cur & mask) ^ self.gtail[top]
-            if (cur >> self.top_shift) & 3:
-                low = _low_index(cur)
-                z = r - low
-                if best_z is None or z < best_z:
-                    best_z, best_v, best_trapped = z, i, cur
-        if best_z is None:
+        for i in range(self.n):
+            if not cur & tie_mask and cur >> top_shift:
+                if cur & beat_mask:
+                    ties.append((i, cur))
+                else:
+                    low = (cur & -cur).bit_length() - 1 & ~1  # 2 * lowest stage
+                    tie_mask, beat_mask = (1 << low) - 1, (4 << low) - 1
+                    ties = [(i, cur)]
+            cur <<= 2
+            cur ^= gmul[cur >> overflow]
+        if not ties:
             raise AssertionError("nonzero syndrome never reached the top stage")
+        return ties
+
+    def word(self, shift: int, trapped: int) -> int:
+        """Packed decoded word (the XOR of its image entries) of a register
+        trapped after ``shift`` shifts: the register rotated back."""
+        n = self.n
         out = 0
-        trapped = best_trapped
-        j = 0
+        pos = n - shift
         while trapped:
-            c = trapped & 3
-            if c:
-                out ^= self.image[(j + n - best_v) % n][c]
-            trapped >>= 2
-            j += 1
-        if len(self._memo) < self._memo_cap:
-            self._memo[packed_s] = out
+            out ^= self.chunks[pos % n][trapped & 255]
+            trapped >>= 8
+            pos += 4
         return out
 
 
 def _position_syndrome_tables(code: CyclicCode) -> list[list[int]]:
     """tables[pos][digit] = packed syndrome of digit * x^pos modulo g."""
-    g = code.g
-    x = Polynomial.x_pow(code.field, 1)
-    xpow = Polynomial.one(code.field)
-    tables = []
-    for pos in range(code.n):
-        if pos:
-            xpow = (xpow * x) % g
-        tables.append([0] + [xpow.scale(d).bits for d in (1, 2, 3)])
-    return tables
-
-
-def _low_index(packed: int) -> int:
-    return ((packed & -packed).bit_length() - 1) // 2
+    rems = [Polynomial.x_pow(code.field, pos) % code.g for pos in range(code.n)]
+    return [[rem.scale(d).bits for d in range(4)] for rem in rems]
 
 
 def _stabilizer(code: CyclicCode, mode: str) -> CyclicCode:
@@ -215,6 +205,25 @@ def _stabilizer(code: CyclicCode, mode: str) -> CyclicCode:
     X and Z both lie in the binary dual."""
     s = code.dual_g.conjugate() if mode == "hermitian" else code.dual_g
     return code_from_generator(code.n, Polynomial.make(GF4, s.coeffs))
+
+
+def _digit_sums(rows: list[list[int]]) -> list[int]:
+    """The XOR of one entry of each row, for every choice of entries; the
+    choice in the first row varies fastest."""
+    sums = [0]
+    for row in rows:
+        sums = [a ^ b for b in row for a in sums]
+    return sums
+
+
+def _unit_bursts(table: list[list[int]], length: int):
+    """Packed words at start 0 of every burst of this length whose first
+    digit is 1 (and, past length 1, whose last digit is nonzero).  Each is
+    a head (the first half of the digits) XOR a tail, so the lists held
+    are about the square root of the pattern count."""
+    rows = [table[0][1:2], *table[1 : length - 1], table[length - 1][1:]][:length]
+    heads, tails = _digit_sums(rows[: (length + 1) // 2]), _digit_sums(rows[(length + 1) // 2 :])
+    return (head ^ tail for head in heads for tail in tails)
 
 
 def burst_census(
@@ -234,6 +243,8 @@ def burst_census(
     stabilizer: when ehat and e have equal syndromes modulo the
     stabilizer generator s (see `_stabilizer`).  Raises
     NotDualContaining when the code admits no quantum construction.
+    One trap search per pattern with first digit 1 decides every start
+    of it and of its GF(4) multiples (see the module docstring).
     """
     K, ((code, _, mode),) = _components(code, construction)
     n = code.n
@@ -243,43 +254,41 @@ def burst_census(
         raise ValueError(f"lmax must be in 1..{n}, got {lmax}")
     total_expected = burst_count(n, 4, lmax)
     if total_expected > guard:
-        raise ValueError(
-            f"census of {total_expected} bursts exceeds the guard ({guard})"
-        )
+        raise ValueError(f"census of {total_expected} bursts exceeds the guard ({guard})")
 
     stabilizer = _stabilizer(code, mode)
     gf4_code = code_from_generator(n, Polynomial.make(GF4, code.g.coeffs))
     # table[pos][digit] packs, from bit 0 up: the digit at pos, its
     # syndrome modulo s (from bit 2n) and its syndrome modulo g (from top).
     top = 2 * (n + stabilizer.r)
-    stab_tables = _position_syndrome_tables(stabilizer)
-    g_tables = _position_syndrome_tables(gf4_code)
+    rows = zip(_position_syndrome_tables(stabilizer), _position_syndrome_tables(gf4_code))
     table = [
-        [(d << 2 * pos) | (stab_tables[pos][d] << 2 * n) | (g_tables[pos][d] << top)
-         for d in range(4)]
-        for pos in range(n)
+        [(d << 2 * pos) | (s_row[d] << 2 * n) | (g_row[d] << top) for d in range(4)]
+        for pos, (s_row, g_row) in enumerate(rows)
     ]
     low = (1 << top) - 1
-    decode = _PackedDecoder(gf4_code, [[word & low for word in row] for row in table]).decode
+    decoder = _PackedDecoder(gf4_code, [[word & low for word in row] for row in table])
     s_syndrome = 1 << 2 * n  # lowest bit of the syndrome modulo s
 
+    # counts over the patterns with first digit 1, at starts 0..last
     total = exact = decoded = 0
-    for pattern in _burst_patterns(4, lmax):
-        length = len(pattern)
-        for start in range(0, n - length + 1):
-            acc = 0
-            for off, digit in enumerate(pattern):
-                if digit:
-                    acc ^= table[start + off][digit]
-            total += 1
-            # below bit 2n: ehat - e; above it: their syndromes modulo s, XORed
-            miss = decode(acc >> top) ^ (acc & low)
-            if miss == 0:
-                exact += 1
-                decoded += 1
-            elif miss < s_syndrome:
-                decoded += 1
+    for length in range(1, lmax + 1):
+        last = n - length
+        for acc in _unit_bursts(table, length):
+            ties = decoder.ties(acc >> top)
+            shifts = [k for k, _ in ties]
+            # starts prev+1..k pick tie k; those after the last tie wrap round
+            counts = [min(k, last) - prev for prev, k in zip([-1] + shifts, shifts) if prev < last]
+            counts[0] += max(0, last - shifts[-1])
+            total += sum(counts)
+            e = acc & low
+            for (k, trapped), count in zip(ties, counts):
+                # below bit 2n: ehat - e; above it: their syndromes modulo s, XORed
+                miss = decoder.word(k, trapped) ^ e
+                exact += count if miss == 0 else 0
+                decoded += count if miss < s_syndrome else 0
 
+    total, exact, decoded = 3 * total, 3 * exact, 3 * decoded
     if total != total_expected:
         raise AssertionError("census enumeration does not match the closed form")
     return QetdStats(n, K, lmax, total, exact, decoded)

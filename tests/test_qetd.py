@@ -222,13 +222,18 @@ def test_stabilizer_syndrome_is_dual_membership():
 
 def _census_oracle(code, mode, lmax):
     """(N, N0, ND) by decoding each burst with the polynomial decoder on the
-    GF(4)-lifted code and judging ehat - e by dual membership."""
+    GF(4)-lifted code and judging ehat - e by dual membership.  The decode
+    is a function of the syndrome, so it is computed once per syndrome."""
     lifted = code_from_generator(code.n, Polynomial.make(GF4, code.g.coeffs))
+    decodes = {}
     total = exact = decoded = 0
     for pattern in _burst_patterns(4, lmax):
         for start in range(code.n - len(pattern) + 1):
             e = BurstPattern(start, pattern).as_vector(code.n)
-            ehat = trap_decode(vec_syndrome_poly(lifted, e), lifted)
+            s = syndrome(lifted, e)
+            if s not in decodes:
+                decodes[s] = trap_decode(Polynomial.make(GF4, s), lifted)
+            ehat = decodes[s]
             total += 1
             if ehat == e:
                 exact += 1
@@ -252,6 +257,43 @@ def test_census_matches_polynomial_oracle():
                 assert got == _census_oracle(code, mode, stats.lmax), (code, mode)
                 checked += 1
     assert checked == 8
+
+
+def test_census_codeword_bursts_match_oracle():
+    # at lmax = n some bursts are codewords: each decodes to 0 at every
+    # start and is degenerate exactly when it is a stabilizer
+    checked = 0
+    for field, mode in ((GF4, "hermitian"), (GF2, "css")):
+        for n in (3, 5, 7):
+            for g in divisor_generators(n, field, (1, n - 1)):
+                code = code_from_generator(n, g)
+                try:
+                    stats = burst_census(code, mode, lmax=n)
+                except NotDualContaining:
+                    continue
+                got = (stats.total, stats.exact, stats.decoded)
+                assert got == _census_oracle(code, mode, n), (code, mode)
+                checked += 1
+    assert checked == 6
+    stats = burst_census(QUAD5, "hermitian", lmax=5)
+    assert (stats.decoded, stats.exact, stats.total) == (255, 15, 1023)
+    stats = burst_census(STEANE, "css", lmax=7)
+    assert (stats.decoded, stats.exact, stats.total) == (4095, 63, 16383)
+
+
+@pytest.mark.parametrize(
+    "n, field, mode, gen, expected",
+    [
+        (23, GF2, "css", "(1^11 1^9 1^7 1^6 1^5 1^1 1^0)", (209205, 208272, 212991)),
+        (25, GF4, "hermitian", "(1^12 2^11 1^10 2^7 3^6 2^5 1^2 2^1 1^0)",
+         (236664, 236190, 237567)),
+    ],
+)
+def test_census_counts_at_r11_and_r12(n, field, mode, gen, expected):
+    # beyond the oracle's reach; 100 and 26 of the 4096 patterns trap at two
+    # tied shifts.  The counts are those of the per-burst census at lmax 7.
+    stats = burst_census(code_from_generator(n, parse_generator(gen, field)), mode, lmax=7)
+    assert (stats.decoded, stats.exact, stats.total) == expected
 
 
 def test_census_guard():
