@@ -13,7 +13,9 @@ the tables and the generator-polynomial notation.
 Supported extension degrees are 1..16.  Default moduli are the Conway
 polynomials for m in [1, 8] and the lexicographically smallest irreducible
 polynomial of each degree in [9, 16].  Every field multiplies through
-exp/log tables.
+exp/log tables.  `FieldSpec.doublings` multiplies every element of a
+packed vector (m bits per element) by x, x^2, ..., x^(m-1) at once; packed
+polynomials and packed matrix columns scale through it.
 """
 
 from __future__ import annotations
@@ -175,6 +177,28 @@ class FieldSpec:
         if a == 0:
             return 0 if e else 1
         return self._exp[(self._log[a] * e) % (self.q - 1)]
+
+    def doublings(self, packed: int) -> list[int]:
+        """x^j * every digit of `packed`, for j = 0 .. m-1.
+
+        `packed` holds field elements as m-bit digits (digit i in bits
+        i*m .. i*m + m - 1).  Multiplying every digit by x at once shifts
+        each digit up by one bit and reduces the digits whose top bit
+        overflowed by the field modulus.  c times every digit is the XOR
+        of the doublings at the set bits j of c.
+        """
+        m = self.m
+        out = [packed]
+        if m == 1:
+            return out
+        digits = (packed.bit_length() + m - 1) // m
+        tops = ((1 << (m * digits)) - 1) // (self.q - 1) << (m - 1)  # top bit of each digit
+        reduction = self.modulus ^ self.q  # x^m as a field element
+        for _ in range(m - 1):
+            top = packed & tops
+            packed = ((packed ^ top) << 1) ^ ((top >> (m - 1)) * reduction)
+            out.append(packed)
+        return out
 
     def conj(self, a: int) -> int:
         """Conjugation x -> x^2 of GF(4) over GF(2) (identity on GF(2))."""

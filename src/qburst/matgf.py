@@ -4,11 +4,25 @@ Row reduction keeps track of which original columns are pivots and how
 each non-pivot column decomposes over the pivots; no column permutation
 is ever applied, so callers can translate free columns straight back to
 positions in the parent matrix.
+
+It builds a leftmost-greedy column basis over packed columns.  Column j
+becomes one int with m bits per entry, laid out like `Polynomial.bits`,
+and carries its expression over the pivot columns in the digits above
+the entries.  Each basis vector is scaled so that its lowest nonzero
+entry is 1 and is kept as its doublings x^k * v (`FieldSpec.doublings`,
+the step `Polynomial` multiplies by too).  A column cancels its lowest
+nonzero entry c against the basis vector with that pivot by XORing the
+doublings at the set bits of c, so no row operation makes a field
+multiply per entry.  A column whose lowest nonzero entry has no basis
+vector is outside the span of the earlier columns and becomes a pivot;
+a column that cancels to zero is free, and its expression is its
+combination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lshift
 
 from .galois import FieldSpec
 
@@ -118,36 +132,59 @@ class ReducedForm:
     combination: dict[int, tuple[int, ...]]
 
 
+def _times(doublings: list[int], c: int) -> int:
+    """c times a packed vector, given its doublings (FieldSpec.doublings)."""
+    out = 0
+    for x_j in doublings:
+        if c & 1:
+            out ^= x_j
+        c >>= 1
+    return out
+
+
 def row_reduce(m: MatrixGF) -> ReducedForm:
     f = m.field
-    work = [list(row) for row in m.data]
-    nrows, ncols = m.rows, m.cols
+    bits, mask = f.m, f.q - 1
+    height = m.rows * bits
+    # Column j packed like Polynomial.bits (row i in digit i), with the
+    # expression of the reduced column over the pivot columns in the digits
+    # from `height` up (pivot k in digit k of the expression).
+    shifts = range(0, height, bits)
+    columns = [sum(map(lshift, col, shifts)) for col in zip(*m.data)] or [0] * m.cols
+    low = (1 << height) - 1
+    # pivot digit -> doublings of the basis vector whose lowest nonzero
+    # digit it is, scaled so that digit is 1
+    basis: dict[int, list[int]] = {}
     pivot_cols: list[int] = []
-    pivot_row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(pivot_row, nrows) if work[r][col]), None)
-        if sel is None:
-            continue
-        if sel != pivot_row:
-            work[pivot_row], work[sel] = work[sel], work[pivot_row]
-        inv = f.inv(work[pivot_row][col])
-        if inv != 1:
-            work[pivot_row] = [f.mul(inv, v) for v in work[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and work[r][col]:
-                c = work[r][col]
-                prow = work[pivot_row]
-                work[r] = [v ^ f.mul(c, p) for v, p in zip(work[r], prow)]
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
+    expressions: dict[int, int] = {}
+    for j, vec in enumerate(columns):
+        while vec & low:
+            pos = ((vec & -vec).bit_length() - 1) // bits
+            doublings = basis.get(pos)
+            if doublings is None:
+                break
+            # cancel digit pos: add c times the basis vector, one
+            # doubling per set bit of c; only higher digits change
+            vec ^= _times(doublings, (vec >> (pos * bits)) & mask)
+        if vec & low:
+            # outside the span of the earlier columns: a new pivot
+            vec ^= 1 << (height + len(pivot_cols) * bits)
+            inv = f.inv((vec >> (pos * bits)) & mask)
+            doublings = f.doublings(vec)
+            if inv != 1:
+                # x^k (inv vec) = (x^k inv) vec, and doublings(inv) lists x^k inv
+                doublings = [_times(doublings, c) for c in f.doublings(inv)]
+            basis[pos] = doublings
+            pivot_cols.append(j)
+        else:
+            expressions[j] = vec >> height
     pivots = tuple(pivot_cols)
-    free = tuple(j for j in range(ncols) if j not in set(pivots))
+    rank_ = len(pivots)
     combination = {
-        j: tuple(work[i][j] for i in range(len(pivots))) for j in free
+        j: tuple((e >> (k * bits)) & mask for k in range(rank_))
+        for j, e in expressions.items()
     }
-    return ReducedForm(len(pivots), pivots, free, combination)
+    return ReducedForm(rank_, pivots, tuple(expressions), combination)
 
 
 def rank(m: MatrixGF) -> int:

@@ -3,7 +3,8 @@
 A polynomial is one int holding coefficient i in bits i*m .. i*m + m - 1,
 so addition is XOR.  A product, a scaling or a long division XORs shifted
 scalar multiples c * p of one operand; each polynomial computes its q
-multiples once, for all of its coefficients at a time, and keeps them.
+multiples once, for all of its coefficients at a time, from the doublings
+x^j * p of `FieldSpec.doublings`, and keeps them.
 
 x^n - 1 (n coprime to q) is factored over the base field itself by
 Berlekamp splitting.  The coset sums b_C = sum_{j in C} x^j, one per
@@ -98,23 +99,10 @@ class Polynomial:
 
     @cached_property
     def _multiples(self) -> list[int]:
-        """Packed c * self at index c, for every element c of the field.
-
-        Multiplying every coefficient by x at once shifts each digit up
-        by one bit and reduces the digits whose top bit overflowed by the
-        field modulus.  c * self is the XOR of x^j * self over the set
-        bits j of c.
-        """
-        f = self.field
-        m = f.m
-        ones = ((1 << (m * (self.degree + 1))) - 1) // (f.q - 1)  # bit 0 of each digit
-        tops = ones << (m - 1)
-        reduction = f.modulus ^ f.q  # x^m as a field element
-        p = self.bits
-        multiples = [0, p]
-        for _ in range(m - 1):
-            top = p & tops
-            p = ((p ^ top) << 1) ^ ((top >> (m - 1)) * reduction)
+        """Packed c * self at index c, for every element c of the field:
+        the XOR of the doublings x^j * self over the set bits j of c."""
+        multiples = [0]
+        for p in self.field.doublings(self.bits):
             multiples += [v ^ p for v in multiples]
         return multiples
 

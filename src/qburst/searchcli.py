@@ -126,7 +126,8 @@ def search(job: SearchJob) -> list[QccReport]:
     deterministically sorted regardless of parallelism."""
     tasks = [(n, job.field, job.delta_max) for n in job.lengths()]
     if job.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=job.jobs) as pool:
+        # the fork start method starts every worker at once, so never more than tasks
+        with ProcessPoolExecutor(max_workers=min(job.jobs, len(tasks))) as pool:
             chunks = list(pool.map(_search_one_length, tasks))
     else:
         chunks = [_search_one_length(t) for t in tasks]
@@ -399,7 +400,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NotDualContaining) as exc:
+    except (ValueError, NotDualContaining, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

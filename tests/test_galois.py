@@ -145,3 +145,16 @@ def test_basis_coordinates_reconstruct():
             if c:
                 acc ^= b
         assert acc == a
+
+
+def test_doublings_multiply_every_digit_by_powers_of_x():
+    rng = random.Random(17)
+    for m in (1, 2, 3, 6, 8):
+        f = field_make(m)
+        for length in (0, 1, 5, 40):
+            digits = [rng.randrange(f.q) for _ in range(length)]
+            packed = sum(d << (i * m) for i, d in enumerate(digits))
+            out = f.doublings(packed)
+            assert len(out) == m
+            for j, vec in enumerate(out):
+                assert vec == sum(f.mul(1 << j, d) << (i * m) for i, d in enumerate(digits))

@@ -56,20 +56,79 @@ def _random_matrix(rng, field, rows, cols):
     )
 
 
+def _assert_combinations(m, red):
+    """Each free column is its combination of the pivot columns."""
+    assert red.rank == len(red.pivot_cols)
+    assert sorted(red.pivot_cols + red.free_cols) == list(range(m.cols))
+    assert set(red.combination) == set(red.free_cols)
+    for j in red.free_cols:
+        assert len(red.combination[j]) == red.rank
+        acc = [0] * m.rows
+        for coeff, p in zip(red.combination[j], red.pivot_cols):
+            for i in range(m.rows):
+                acc[i] ^= m.field.mul(coeff, m.entry(i, p))
+        assert tuple(acc) == m.column(j), (m.field, m.data, j)
+
+
 def test_remultiplication_property():
     rng = random.Random(11)
     for field in (GF2, GF4, field_make(3)):
         for _ in range(40):
             m = _random_matrix(rng, field, rng.randrange(1, 6), rng.randrange(1, 7))
+            _assert_combinations(m, row_reduce(m))
+
+
+def _oracle_matrix(rng, field, rows, cols):
+    """Columns that are zero, combinations of earlier columns, or random."""
+    columns = []
+    for _ in range(cols):
+        kind = rng.randrange(4)
+        if kind == 0:
+            col = [0] * rows
+        elif kind == 1 and columns:
+            col = [0] * rows
+            for prev in rng.sample(columns, rng.randrange(1, min(3, len(columns)) + 1)):
+                c = rng.randrange(field.q)
+                col = [a ^ field.mul(c, b) for a, b in zip(col, prev)]
+        else:
+            col = [rng.randrange(field.q) if rng.randrange(3) else 0 for _ in range(rows)]
+        columns.append(col)
+    return MatrixGF.make(field, [[col[i] for col in columns] for i in range(rows)])
+
+
+SPAN_LIMIT = 4096
+
+
+def test_row_reduce_matches_span_enumeration():
+    """Leftmost-greedy pivots against brute-force spans of the earlier columns."""
+    rng = random.Random(2024)
+    checked_pivots = checked_free = 0
+    for field in (GF2, GF4, field_make(3), field_make(6)):
+        for trial in range(150):
+            rows = (0, 1, 2, 5, 9)[trial % 5]
+            cols = rng.randrange(0, 10) if trial % 3 else rng.randrange(0, max(rows, 1))
+            m = _oracle_matrix(rng, field, rows, cols)
             red = row_reduce(m)
-            assert len(red.pivot_cols) == red.rank
-            assert sorted(red.pivot_cols + red.free_cols) == list(range(m.cols))
+            _assert_combinations(m, red)
+            span = {(0,) * m.rows}
+            for j in range(m.cols):
+                if len(span) * field.q > SPAN_LIMIT:
+                    break
+                col = m.column(j)
+                assert (j in red.pivot_cols) == (col not in span), (field, m.data, j)
+                if col not in span:
+                    span = {
+                        tuple(v ^ field.mul(c, x) for v, x in zip(vec, col))
+                        for vec in span
+                        for c in field.elements()
+                    }
+                checked_pivots += 1
             for j in red.free_cols:
-                acc = [0] * m.rows
-                for coeff, p in zip(red.combination[j], red.pivot_cols):
-                    for i in range(m.rows):
-                        acc[i] ^= field.mul(coeff, m.entry(i, p))
-                assert tuple(acc) == m.column(j)
+                # an expression over the earlier pivots only
+                combo = red.combination[j]
+                assert all(c == 0 for c, p in zip(combo, red.pivot_cols) if p > j)
+                checked_free += 1
+    assert checked_pivots > 1000 and checked_free > 500
 
 
 def test_rank_transpose_and_bound():

@@ -186,6 +186,40 @@ def test_jobs_env_default(tmp_path, monkeypatch, capsys):
     json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])
+def test_cli_search_unwritable_out_is_one_error_line(tmp_path, target):
+    out = tmp_path / target
+    rc, stdout, err = _run_main(
+        ["search", "--n-min", "3", "--n-max", "5", "--field", "gf4", "--out", str(out)]
+    )
+    assert rc == 1
+    assert stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_search_pool_has_at_most_one_worker_per_length(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("qburst.searchcli.ProcessPoolExecutor", FakePool)
+    job = SearchJob(3, 5, "gf4", 2, jobs=5000)
+    assert len(job.lengths()) == 2
+    assert report_emit(search(job)) == report_emit(search(SearchJob(3, 5, "gf4", 2)))
+    assert sizes == [2]
+
+
 def test_verify_tables_tmp_fixture(tmp_path):
     (tmp_path / "table1.tsv").write_text(
         "hermitian\t[[15,3]]\t3\t0\t(1^6 2^3 1^0)\t-\n"
