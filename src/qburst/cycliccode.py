@@ -15,6 +15,10 @@ Conventions (0-based positions throughout):
 * The syndrome of a vector is the coefficient vector of v(x) mod g(x);
   it vanishes exactly on codewords, like H v^T, and the two are related
   by a fixed invertible map.
+* The stabilizer judged against a partner code `dual_of` (the code itself
+  for a Hermitian code) is generated by s = conj(dual_g) of the partner,
+  for GF(4) and GF(2) alike: a construction is admissible iff g | s, and
+  confusing e with f is harmless iff s | e - f.
 """
 
 from __future__ import annotations
@@ -114,35 +118,29 @@ def in_euclidean_dual(code: CyclicCode, v) -> bool:
     return (Polynomial.make(code.field, v) % code.dual_g).is_zero
 
 
-def in_hermitian_dual(code: CyclicCode, v) -> bool:
-    """True iff v lies in the Hermitian dual (GF(4): conjugate of the dual)."""
-    f = code.field
-    if len(v) != code.n:
-        raise ValueError(f"vector length {len(v)} != n={code.n}")
-    w = [f.conj(c) for c in v]
-    return (Polynomial.make(f, w) % code.dual_g).is_zero
+def stabilizer_generator(dual_of: CyclicCode) -> Polynomial:
+    """s = conj(dual_g): the generator of the Hermitian dual of `dual_of`
+    over GF(4), of its Euclidean dual over GF(2) (conj is the identity)."""
+    return dual_of.dual_g.conjugate()
 
 
 def hermitian_dual_containing(code: CyclicCode) -> bool:
-    """Admissibility for the Hermitian construction (H H^dagger = 0).
-
-    The Hermitian dual is the cyclic code generated by the conjugated
-    dual generator, and it lies in the code iff g divides that generator.
-    """
+    """Admissibility for the Hermitian construction (H H^dagger = 0): the
+    code's generator divides the stabilizer generator of the code."""
     if code.field.m != 2:
         raise ValueError("Hermitian construction requires GF(4)")
-    return (code.dual_g.conjugate() % code.g).is_zero
+    return (stabilizer_generator(code) % code.g).is_zero
 
 
 def css_dual_containing(c1: CyclicCode, c2: CyclicCode) -> bool:
     """Admissibility for the CSS construction (H1 H2^T = 0): the dual of C2
     lies in C1, or equivalently the dual of C1 lies in C2, which holds iff
-    the generator of C2 divides the dual generator of C1."""
+    the generator of C1 divides the stabilizer generator of C2."""
     if c1.field != c2.field or c1.field.m != 1:
         raise ValueError("CSS construction requires a matching GF(2) pair")
     if c1.n != c2.n:
         raise ValueError("CSS construction requires equal lengths")
-    return (c1.dual_g % c2.g).is_zero
+    return (stabilizer_generator(c2) % c1.g).is_zero
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ Addition is therefore XOR.  For GF(4) this gives the fixed encoding
 (w denotes a root of x^2 + x + 1), which is the encoding used throughout
 the tables and the generator-polynomial notation.
 
-Supported extension degrees are 1..16.  Default moduli are the Conway
-polynomials for m in [1, 8] and the lexicographically smallest irreducible
-polynomial of each degree in [9, 16].  Every field multiplies through
-exp/log tables.  `FieldSpec.doublings` multiplies every element of a
-packed vector (m bits per element) by x, x^2, ..., x^(m-1) at once; packed
-polynomials and packed matrix columns scale through it.
+Supported extension degrees are 1..16, each with one fixed modulus: the
+Conway polynomial for m in [1, 8] and the lexicographically smallest
+irreducible polynomial of each degree in [9, 16].  Every field multiplies
+through exp/log tables.  `FieldSpec.doublings` multiplies every element of
+a packed vector (m bits per element) by x, x^2, ..., x^(m-1) at once;
+packed polynomials and packed matrix columns scale through it.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-# Default modulus per extension degree: the Conway polynomials (the
+# The modulus of each extension degree: the Conway polynomials (the
 # representation used by most computer algebra systems) up to degree 8, the
 # lexicographically smallest irreducible polynomials beyond.  Bit i is the
 # coefficient of x^i.
-DEFAULT_MODULI: dict[int, int] = {
+MODULI: dict[int, int] = {
     1: 0b11,
     2: 0b111,
     3: 0b1011,
@@ -47,59 +47,18 @@ DEFAULT_MODULI: dict[int, int] = {
 }
 
 
-def gf2_poly_degree(p: int) -> int:
-    """Degree of a GF(2)[x] polynomial packed into an int (-1 for zero)."""
-    return p.bit_length() - 1
-
-
-def gf2_poly_mod(a: int, mod: int) -> int:
-    """Remainder of a GF(2)[x] polynomial modulo another."""
-    mb = mod.bit_length()
-    ab = a.bit_length()
-    while ab >= mb:
-        a ^= mod << (ab - mb)
-        ab = a.bit_length()
-    return a
-
-
-def find_reducible_factor(modulus: int) -> int | None:
-    """Trial-divide by every polynomial of degree <= deg/2; return a factor.
-
-    Returns None when the modulus is irreducible.  Intended for the public
-    field range (degree <= 16) where the scan is instant.
-    """
-    d = gf2_poly_degree(modulus)
-    if d < 1:
-        return modulus
-    for p in range(2, 1 << (d // 2 + 1)):
-        if gf2_poly_degree(p) < 1:
-            continue
-        if gf2_poly_mod(modulus, p) == 0:
-            return p
-    return None
-
-
 class FieldSpec:
-    """GF(2^m) with a fixed irreducible modulus.
+    """GF(2^m) modulo the fixed modulus `MODULI[m]`.
 
     Immutable after construction; every operation is a pure function of
     integer-encoded elements, so instances are safe to share freely.
     """
 
-    def __init__(self, m: int, modulus: int | None = None):
+    def __init__(self, m: int):
         if not 1 <= m <= 16:
             raise ValueError(f"supported extension degrees are 1..16, got {m}")
-        if modulus is None:
-            modulus = DEFAULT_MODULI[m]
-        if gf2_poly_degree(modulus) != m:
-            raise ValueError(
-                f"modulus degree {gf2_poly_degree(modulus)} does not match m={m}"
-            )
-        factor = find_reducible_factor(modulus)
-        if factor is not None:
-            raise ValueError(f"modulus {modulus:#x} is reducible: divisible by {factor:#x}")
         self.m = m
-        self.modulus = modulus
+        self.modulus = MODULI[m]
         self.q = 1 << m
         self._build_tables()
 
@@ -208,16 +167,13 @@ class FieldSpec:
             return self.mul(a, a)
         raise ValueError("conjugation is defined here for GF(2) and GF(4) only")
 
-    def trace(self, a: int, base_m: int = 1) -> int:
-        """Trace into the subfield GF(2^base_m)."""
-        if self.m % base_m != 0:
-            raise ValueError(f"base degree {base_m} does not divide {self.m}")
-        step = 1 << base_m
+    def trace(self, a: int) -> int:
+        """Trace into GF(2): a + a^2 + a^4 + ... + a^(2^(m-1))."""
         t = 0
         v = a
-        for _ in range(self.m // base_m):
+        for _ in range(self.m):
             t ^= v
-            v = self.pow(v, step)
+            v = self.pow(v, 2)
         return t
 
     def elements(self) -> range:
@@ -226,23 +182,19 @@ class FieldSpec:
     # -- identity -------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and self.m == other.m
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, FieldSpec) and self.m == other.m
 
     def __hash__(self) -> int:
-        return hash((self.m, self.modulus))
+        return hash(self.m)
 
     def __repr__(self) -> str:
         return f"FieldSpec(m={self.m}, modulus={self.modulus:#x})"
 
 
 @lru_cache(maxsize=None)
-def field_make(m: int, modulus: int | None = None) -> FieldSpec:
-    """Construct (and cache) GF(2^m) with a verified irreducible modulus."""
-    return FieldSpec(m, modulus)
+def field_make(m: int) -> FieldSpec:
+    """Construct (and cache) GF(2^m)."""
+    return FieldSpec(m)
 
 
 GF2 = field_make(1)

@@ -174,9 +174,11 @@ class Polynomial:
         return Polynomial(self.field, bits)
 
     def conjugate(self) -> Polynomial:
-        """Coefficient-wise conjugation (GF(4): x -> x^2)."""
+        """Coefficient-wise conjugation (GF(4): x -> x^2; the identity over GF(2))."""
         f = self.field
         m = f.m
+        if m == 1:
+            return self
         bits = 0
         for i, c in enumerate(self.coeffs):
             bits |= f.conj(c) << (i * m)

@@ -2,13 +2,15 @@
 
 `_components` is the one place a construction is decided: it checks the
 generator count, dual containment (Hermitian or CSS) and r >= 1, and
-returns K with one sweep per distinct classical component.
+returns K with one sweep (code, dual_of) per distinct classical
+component.  Below it, with s = `stabilizer_generator(dual_of)`, one rule
+holds: admissible iff g | s, and e, f harmlessly confused iff s | e - f.
 
 The degenerate limit L of a component is found by sweeping window
 lengths ell = 1, 2, ...: the code corrects all quantum bursts of length
 ell provided every ell-column window of the ell-shortened check matrix
 has full rank, or every dependency pair arising from a rank-deficient
-window is degenerate (its two members differ by a stabilizer element).
+window is degenerate (s divides the difference of its two members).
 The sweep stops at the first ell admitting a nondegenerate pair; the
 quantum Reiger bound caps the sweep at floor(r/2).  A single-error
 collision x^i = lam x^j (mod g) is, after a cyclic shift, a width-1
@@ -35,9 +37,9 @@ from .cycliccode import (
     burst_count,
     css_dual_containing,
     hermitian_dual_containing,
-    in_euclidean_dual,
-    in_hermitian_dual,
+    stabilizer_generator,
     syndrome,
+    vector_poly,
 )
 from .matgf import row_reduce
 from .polyring import Polynomial
@@ -88,33 +90,14 @@ def classical_burst_limit(code: CyclicCode) -> int:
     return cap
 
 
-def degeneracy_check(
-    code: CyclicCode,
-    e,
-    f,
-    mode: str = "hermitian",
-    dual_of: CyclicCode | None = None,
-) -> bool:
-    """True when confusing e with f is harmless.
-
-    The pair must have equal syndromes.  Hermitian mode tests e + f
-    against the Hermitian dual of the code; CSS mode tests it against
-    the Euclidean dual of `dual_of` (the opposite code of the pair,
-    defaulting to `code` itself).
-    """
+def degeneracy_check(code: CyclicCode, e, f, *, dual_of: CyclicCode | None = None) -> bool:
+    """True when confusing e with f is harmless: the stabilizer generator
+    of `dual_of` (the partner code, defaulting to `code` itself) divides
+    e - f.  The pair must have equal syndromes."""
     if syndrome(code, e) != syndrome(code, f):
         raise ValueError("degeneracy is only defined for equal-syndrome pairs")
-    diff = tuple(a ^ b for a, b in zip(e, f))
-    return _harmless(code, diff, mode, dual_of if dual_of is not None else code)
-
-
-def _harmless(code: CyclicCode, diff, mode: str, dual_of: CyclicCode) -> bool:
-    """Whether the difference of two confusable errors is a stabilizer."""
-    if mode == "hermitian":
-        return in_hermitian_dual(code, diff)
-    if mode == "css":
-        return in_euclidean_dual(dual_of, diff)
-    raise ValueError(f"unknown mode {mode!r}")
+    diff = vector_poly(code, [a ^ b for a, b in zip(e, f)])
+    return (diff % stabilizer_generator(dual_of if dual_of is not None else code)).is_zero
 
 
 @dataclass(frozen=True)
@@ -152,9 +135,9 @@ def _components(codes, construction: str):
 
     `codes` is one code, or a sequence of one code (Hermitian) or of one
     or two codes (CSS; one code is paired with itself).  Each sweep is
-    (code, dual_of, mode): a classical component whose confusable pairs
-    are judged against the dual of `dual_of`.  A CSS pair of two equal
-    codes has one sweep, since both of its components are that code.
+    (code, dual_of): a classical component whose confusable pairs are
+    judged against the stabilizer of `dual_of`.  Two equal codes (every
+    Hermitian code) make one sweep, both components being that code.
     """
     codes = (codes,) if isinstance(codes, CyclicCode) else tuple(codes)
     counts = {"hermitian": (1,), "css": (1, 2)}.get(construction)
@@ -163,24 +146,19 @@ def _components(codes, construction: str):
     if len(codes) not in counts:
         raise ValueError(f"a {construction} code takes {' or '.join(map(str, counts))} "
                          f"generator(s), got {len(codes)}")
-    if construction == "hermitian":
-        (code,) = codes
-        if not hermitian_dual_containing(code):
-            raise NotDualContaining(f"{code!r}: H H^dagger != 0")
-        K = 2 * code.k - code.n
-        sweeps = ((code, code, "hermitian"),)
-    else:
-        c1, c2 = codes if len(codes) == 2 else codes * 2
-        if not css_dual_containing(c1, c2):
-            raise NotDualContaining(f"{c1!r} / {c2!r}: dual containment fails")
-        K = c1.k + c2.k - c1.n
-        sweeps = ((c1, c2, "css"),) if c1.g == c2.g else ((c1, c2, "css"), (c2, c1, "css"))
+    c1, c2 = codes if len(codes) == 2 else codes * 2
+    if construction == "hermitian" and not hermitian_dual_containing(c1):
+        raise NotDualContaining(f"{c1!r}: H H^dagger != 0")
+    if construction == "css" and not css_dual_containing(c1, c2):
+        raise NotDualContaining(f"{c1!r} / {c2!r}: dual containment fails")
+    K = c1.k + c2.k - c1.n
+    sweeps = ((c1, c2),) if c1.g == c2.g else ((c1, c2), (c2, c1))
     if any(code.r < 1 for code in codes):
         raise ValueError("the construction needs generators of degree >= 1 (r = 0)")
     return K, sweeps
 
 
-def _component_sweep(code: CyclicCode, dual_of: CyclicCode, mode: str):
+def _component_sweep(code: CyclicCode, dual_of: CyclicCode):
     """One sweep of the limit algorithm against a single classical code.
 
     Returns (L, ell0, flags): L is the first length admitting a
@@ -198,7 +176,7 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode, mode: str):
             if ell0 is None:
                 ell0 = ell - 1
             for e, fvec in pairs:
-                if not degeneracy_check(code, e, fvec, mode, dual_of):
+                if not degeneracy_check(code, e, fvec, dual_of=dual_of):
                     return ell - 1, ell0, ()
     return cap, cap if ell0 is None else ell0, ("cap-limited",)
 
@@ -215,7 +193,7 @@ def qcc_burst_limit(codes, construction: str) -> QccReport:
     L = min(L for L, _, _ in results)
     ell0 = min(ell0 for _, ell0, _ in results)
     flags = tuple(sorted(set.intersection(*(set(flags) for _, _, flags in results))))
-    gens = tuple(code.g.coeffs for code, _, _ in sweeps)
+    gens = tuple(code.g.coeffs for code, _ in sweeps)
     report = QccReport(sweeps[0][0].n, K, L, ell0, construction, gens, flags)
     if report.delta < 0:
         raise AssertionError("computed limit violates the quantum Reiger bound")
@@ -253,11 +231,12 @@ def brute_force_limit(
     _, sweeps = _components(codes, construction)
     n = sweeps[0][0].n
     if cap is None:
-        cap = min(code.r // 2 for code, _, _ in sweeps)
+        cap = min(code.r // 2 for code, _ in sweeps)
     best_any = cap + 1
     best_nondeg = cap + 1
 
-    for code, dual_of, mode in sweeps:
+    for code, dual_of in sweeps:
+        s = stabilizer_generator(dual_of)
         q = code.field.q
         if burst_count(n, q, cap) >= guard:
             raise ValueError("enumeration guard exceeded; reduce cap or n")
@@ -281,11 +260,11 @@ def brute_force_limit(
                     worst = l2  # sorted: l2 >= l1
                     if worst >= best_nondeg:
                         break
-                    diff = tuple(a ^ b for a, b in zip(v1, v2))
-                    if not any(diff):
+                    diff = vector_poly(code, [a ^ b for a, b in zip(v1, v2)])
+                    if diff.is_zero:
                         continue
                     best_any = min(best_any, worst)
-                    if not _harmless(code, diff, mode, dual_of):
+                    if not (diff % s).is_zero:
                         best_nondeg = min(best_nondeg, worst)
 
     return min(best_nondeg - 1, cap), min(best_any - 1, cap)

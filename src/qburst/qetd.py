@@ -7,7 +7,8 @@ error burst sits flush against the top register stage; the shift whose
 trapped burst is shortest identifies a minimum-burst coset
 representative, which is then rotated back into place.  Degenerate
 decodes (representative differing from the channel error by a
-stabilizer element) count as successes for a quantum code.
+stabilizer element, i.e. a multiple of `stabilizer_generator(dual_of)`)
+count as successes for a quantum code.
 
 The census decodes every Pauli burst up to a length cutoff and tallies
 exact / degenerate / failed decodes.  It traps each pattern p once, not
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycliccode import CyclicCode, burst_count, code_from_generator
+from .cycliccode import CyclicCode, burst_count, stabilizer_generator
 from .galois import GF4
 from .polyring import Polynomial
 from .qccburst import _components
@@ -143,15 +144,15 @@ class _PackedDecoder:
     ``digit`` at ``pos``; a decode is the XOR of those words.
     """
 
-    def __init__(self, code: CyclicCode, image: list[list[int]]):
-        self.n = code.n
-        self.r = code.r
+    def __init__(self, n: int, g: Polynomial, image: list[list[int]]):
+        self.n = n
+        self.r = g.degree
         # chunks[pos][v]: the image of the four digits of v at pos..pos+3
         self.chunks = [
             _digit_sums([image[(pos + t) % self.n] for t in range(4)]) for pos in range(self.n)
         ]
         # c * g packed: XORed in after a shift, it clears an overflow digit c.
-        self.gmul = [code.g.scale(c).bits for c in range(4)]
+        self.gmul = [g.scale(c).bits for c in range(4)]
 
     def ties(self, packed_s: int) -> list[tuple[int, int]]:
         """Every shift whose register traps the shortest burst, with that
@@ -192,19 +193,10 @@ class _PackedDecoder:
         return out
 
 
-def _position_syndrome_tables(code: CyclicCode) -> list[list[int]]:
-    """tables[pos][digit] = packed syndrome of digit * x^pos modulo g."""
-    rems = [Polynomial.x_pow(code.field, pos) % code.g for pos in range(code.n)]
+def _position_syndrome_tables(n: int, modulus: Polynomial) -> list[list[int]]:
+    """tables[pos][digit] = packed digit * x^pos modulo a GF(4) polynomial."""
+    rems = [Polynomial.x_pow(GF4, pos) % modulus for pos in range(n)]
     return [[rem.scale(d).bits for d in range(4)] for rem in rems]
-
-
-def _stabilizer(code: CyclicCode, mode: str) -> CyclicCode:
-    """The stabilizer as a GF(4) cyclic code.  Its generator s is the
-    conjugated dual generator for a Hermitian code, and the binary dual
-    generator read over GF(4) for a CSS code: X + wZ is a stabilizer iff
-    X and Z both lie in the binary dual."""
-    s = code.dual_g.conjugate() if mode == "hermitian" else code.dual_g
-    return code_from_generator(code.n, Polynomial.make(GF4, s.coeffs))
 
 
 def _digit_sums(rows: list[list[int]]) -> list[int]:
@@ -240,13 +232,14 @@ def burst_census(
     decoded as one GF(4) polynomial over the binary generator, which
     traps both component syndromes in one register.  A decode ehat of a
     burst e is exact when ehat == e, and degenerate when ehat - e is a
-    stabilizer: when ehat and e have equal syndromes modulo the
-    stabilizer generator s (see `_stabilizer`).  Raises
+    stabilizer: when ehat and e have equal syndromes modulo the stabilizer
+    generator s read over GF(4) (X + wZ is a multiple of a binary s iff X
+    and Z both are).  Raises
     NotDualContaining when the code admits no quantum construction.
     One trap search per pattern with first digit 1 decides every start
     of it and of its GF(4) multiples (see the module docstring).
     """
-    K, ((code, _, mode),) = _components(code, construction)
+    K, ((code, dual_of),) = _components(code, construction)
     n = code.n
     if lmax is None:
         lmax = (n - K) // 2
@@ -256,18 +249,18 @@ def burst_census(
     if total_expected > guard:
         raise ValueError(f"census of {total_expected} bursts exceeds the guard ({guard})")
 
-    stabilizer = _stabilizer(code, mode)
-    gf4_code = code_from_generator(n, Polynomial.make(GF4, code.g.coeffs))
+    s = Polynomial.make(GF4, stabilizer_generator(dual_of).coeffs)
+    g = Polynomial.make(GF4, code.g.coeffs)
     # table[pos][digit] packs, from bit 0 up: the digit at pos, its
     # syndrome modulo s (from bit 2n) and its syndrome modulo g (from top).
-    top = 2 * (n + stabilizer.r)
-    rows = zip(_position_syndrome_tables(stabilizer), _position_syndrome_tables(gf4_code))
+    top = 2 * (n + s.degree)
+    rows = zip(_position_syndrome_tables(n, s), _position_syndrome_tables(n, g))
     table = [
         [(d << 2 * pos) | (s_row[d] << 2 * n) | (g_row[d] << top) for d in range(4)]
         for pos, (s_row, g_row) in enumerate(rows)
     ]
     low = (1 << top) - 1
-    decoder = _PackedDecoder(gf4_code, [[word & low for word in row] for row in table])
+    decoder = _PackedDecoder(n, g, [[word & low for word in row] for row in table])
     s_syndrome = 1 << 2 * n  # lowest bit of the syndrome modulo s
 
     # counts over the patterns with first digit 1, at starts 0..last

@@ -58,7 +58,7 @@ _PINNED_BASES: dict[int, tuple[int, ...]] = {
 def reference_self_dual_basis(field: FieldSpec) -> SelfDualBasis:
     """The pinned ordered self-dual basis of GF(2^m) used for images."""
     elements = _PINNED_BASES.get(field.m)
-    if elements is None or field != field_make(field.m):
+    if elements is None:
         return self_dual_basis(field)
     return SelfDualBasis(field, elements)
 

@@ -42,8 +42,9 @@ _TERM_RE = re.compile(r"([123])\^(\d+)")
 _SHAPE_RE = re.compile(r"^\(\s*(?:[123]\^\d+\s*)+\)$")
 
 
-def parse_generator(text: str, field: FieldSpec) -> Polynomial:
-    """Parse table notation into a polynomial over the given field."""
+def _parse_terms(text: str, field: FieldSpec) -> list[tuple[int, int]]:
+    """The (coefficient, exponent) terms of table notation, highest
+    exponent first, checked against the grammar and the field."""
     cleaned = text.strip().lower()
     if not _SHAPE_RE.match(cleaned):
         raise ValueError(f"malformed generator notation: {text!r}")
@@ -53,12 +54,15 @@ def parse_generator(text: str, field: FieldSpec) -> Polynomial:
         raise ValueError(f"exponents must be strictly decreasing: {text!r}")
     if exponents[-1] != 0:
         raise ValueError(f"final exponent must be 0: {text!r}")
-    coeffs = [0] * (exponents[0] + 1)
-    for c, e in terms:
+    for c, _ in terms:
         if c >= field.q:
             raise ValueError(f"coefficient {c} invalid over GF({field.q})")
-        coeffs[e] = c
-    return Polynomial.make(field, coeffs)
+    return terms
+
+
+def parse_generator(text: str, field: FieldSpec) -> Polynomial:
+    """Parse table notation into a polynomial over the given field."""
+    return Polynomial(field, sum(c << e * field.m for c, e in _parse_terms(text, field)))
 
 
 def emit_generator(p: Polynomial | tuple[int, ...]) -> str:
@@ -74,11 +78,18 @@ def emit_generator(p: Polynomial | tuple[int, ...]) -> str:
 
 def _codes(n: int, gens, construction: str):
     """The cyclic codes of length n with the given generator texts, over
-    the field whose construction is `construction`."""
+    the field whose construction is `construction`.  A generator of degree
+    above n is rejected before its coefficients are laid out."""
     field = next((FIELDS[f] for f, c in CONSTRUCTIONS.items() if c == construction), None)
     if field is None:
         raise ValueError(f"unknown construction {construction!r}")
-    return tuple(code_from_generator(n, parse_generator(g, field)) for g in gens)
+    codes = []
+    for text in gens:
+        degree = _parse_terms(text, field)[0][1]
+        if degree > n:
+            raise ValueError(f"generator degree {degree} exceeds n={n}: {text!r}")
+        codes.append(code_from_generator(n, parse_generator(text, field)))
+    return tuple(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +411,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NotDualContaining, OSError) as exc:
+    except (ValueError, NotDualContaining, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,22 +2,22 @@ import random
 
 import pytest
 
-from qburst.galois import GF2, GF4
+from qburst.galois import GF2, GF4, OMEGA
 from qburst.polyring import Polynomial, divisor_generators
 from qburst.cycliccode import (
     BurstPattern,
     _burst_patterns,
     burst_count,
     code_from_generator,
-    in_euclidean_dual,
-    in_hermitian_dual,
+    contains,
+    stabilizer_generator,
     syndrome,
+    vector_poly,
 )
 from qburst.qccburst import NotDualContaining, degeneracy_check
 from qburst.qetd import (
     QetdStats,
     _position_syndrome_tables,
-    _stabilizer,
     burst_census,
     css_decode,
     trap_decode,
@@ -106,7 +106,7 @@ def test_classify():
 def test_classify_css_mode():
     zero = (0,) * 7
     dual_row = STEANE.H.data[0]
-    assert dual_row != zero and degeneracy_check(STEANE, dual_row, zero, mode="css")
+    assert dual_row != zero and degeneracy_check(STEANE, dual_row, zero)
 
 
 def test_css_decode():
@@ -175,14 +175,89 @@ def test_census_rejects_codes_without_quantum_construction():
         burst_census(trivial, "hermitian", lmax=1)
 
 
-def _stabilizer_member(code, mode, vec):
-    """Dual membership of a Pauli vector: Hermitian dual of a GF(4) code, or
-    both bit planes (X = bit 0, Z = bit 1) in the binary Euclidean dual."""
-    if mode == "hermitian":
-        return in_hermitian_dual(code, vec)
-    return in_euclidean_dual(code, tuple(d & 1 for d in vec)) and in_euclidean_dual(
-        code, tuple(d >> 1 for d in vec)
-    )
+def _stabilizer_rows(dual_of):
+    """Rows spanning over GF(2) the stabilizer judged against `dual_of`, as
+    Pauli vectors (GF(4) digits, X = bit 0, Z = bit 1): conj(H) and its
+    w-multiples for a GF(4) code, the rows of H taken as X (digit 1) and as
+    Z (digit 2) for a binary one."""
+    rows = dual_of.H.data
+    if dual_of.field.m == 2:
+        conj = [tuple(GF4.conj(v) for v in row) for row in rows]
+        return conj + [tuple(GF4.mul(OMEGA, v) for v in row) for row in conj]
+    return list(rows) + [tuple(2 * v for v in row) for row in rows]
+
+
+def _span_oracle(rows):
+    """Membership in the GF(2) span of the rows, with no polynomial
+    division: a vector packed two bits per digit reduces to 0 against a
+    basis of the packed rows with distinct leading bits."""
+
+    def reduce(vec):
+        v = sum(d << 2 * i for i, d in enumerate(vec))
+        for b in basis:
+            v = min(v, v ^ b)
+        return v
+
+    basis = []
+    for row in rows:
+        v = reduce(row)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return lambda vec: reduce(vec) == 0
+
+
+def _combination(rng, rows, n):
+    """The XOR of a random subset of the rows."""
+    vec = [0] * n
+    for row in rows:
+        if rng.randrange(2):
+            vec = [a ^ b for a, b in zip(vec, row)]
+    return tuple(vec)
+
+
+def _divisor_codes(n, field):
+    return [code_from_generator(n, g) for g in divisor_generators(n, field)]
+
+
+def test_stabilizer_generator_matches_span_oracle():
+    # s = stabilizer_generator(dual_of) divides a vector exactly when the
+    # span oracle admits it, for every divisor code of odd n <= 15 over
+    # GF(4) and every ordered pair of them over GF(2): on Pauli vectors
+    # against s read over GF(4), and on vectors over the code's own field,
+    # which degeneracy_check judges the same way as differences of pairs
+    rng = random.Random(43)
+    verdicts = {True: 0, False: 0}
+    for n in range(3, 16, 2):
+        binary = _divisor_codes(n, GF2)
+        cases = [(c, c) for c in _divisor_codes(n, GF4)]
+        cases += [(c1, c2) for c1 in binary for c2 in binary]
+        for code, dual_of in cases:
+            s = stabilizer_generator(dual_of)
+            s4 = Polynomial.make(GF4, s.coeffs)
+            rows = _stabilizer_rows(dual_of)
+            member = _span_oracle(rows)
+            # the stabilizer rows over the code's field: over GF(2), the X rows
+            field_rows = rows if code.field.m == 2 else dual_of.H.data
+            word_rows = list(code.G.data)
+            if code.field.m == 2:
+                word_rows += [tuple(GF4.mul(OMEGA, v) for v in row) for row in word_rows]
+            for _ in range(6):
+                stab = _combination(rng, rows, n)
+                pauli = tuple(rng.randrange(4) for _ in range(n))
+                assert member(stab), (dual_of, stab)
+                for vec in (stab, pauli):
+                    assert (Polynomial.make(GF4, vec) % s4).is_zero == member(vec), (dual_of, vec)
+                for vec in (_combination(rng, field_rows, n), _combination(rng, word_rows, n)):
+                    verdict = member(vec)
+                    assert (vector_poly(code, vec) % s).is_zero == verdict, (dual_of, vec)
+                    if contains(code, vec):
+                        f = tuple(rng.randrange(code.field.q) for _ in range(n))
+                        e = tuple(a ^ b for a, b in zip(vec, f))
+                        got = degeneracy_check(code, e, f, dual_of=dual_of)
+                        assert got == verdict, (code, dual_of, vec)
+                        verdicts[verdict] += 1
+    assert min(verdicts.values()) > 1000, verdicts
 
 
 def _packed_syndrome(tables, vec):
@@ -194,37 +269,31 @@ def _packed_syndrome(tables, vec):
 
 def test_stabilizer_syndrome_is_dual_membership():
     # the census calls ehat - e degenerate iff its packed syndrome modulo the
-    # stabilizer generator is 0; that must be membership in the dual
+    # stabilizer generator is 0; that must be membership in the stabilizer
     rng = random.Random(41)
-    for field, mode in ((GF4, "hermitian"), (GF2, "css")):
+    for field in (GF4, GF2):
         for n in range(3, 16, 2):
             for g in divisor_generators(n, field, (1, n - 1)):
                 code = code_from_generator(n, g)
-                tables = _position_syndrome_tables(_stabilizer(code, mode))
-                if mode == "hermitian":
-                    rows = [tuple(GF4.conj(v) for v in row) for row in code.H.data]
-                else:
-                    # X rows as digit 1, Z rows as digit 2
-                    rows = list(code.H.data) + [tuple(2 * v for v in row) for row in code.H.data]
+                s = Polynomial.make(GF4, stabilizer_generator(code).coeffs)
+                tables = _position_syndrome_tables(n, s)
+                rows = _stabilizer_rows(code)
+                member = _span_oracle(rows)
                 for trial in range(20):
                     if trial % 2:
                         vec = tuple(rng.randrange(4) for _ in range(n))
                     else:
-                        vec = [0] * n
-                        for row in rows:
-                            c = rng.randrange(4 if mode == "hermitian" else 2)
-                            vec = [a ^ GF4.mul(c, b) for a, b in zip(vec, row)]
-                        vec = tuple(vec)
-                    member = _stabilizer_member(code, mode, vec)
-                    assert (_packed_syndrome(tables, vec) == 0) == member, (code, mode, vec)
-                    assert member or trial % 2, (code, mode, vec)
+                        vec = _combination(rng, rows, n)
+                    assert (_packed_syndrome(tables, vec) == 0) == member(vec), (code, vec)
+                    assert member(vec) or trial % 2, (code, vec)
 
 
-def _census_oracle(code, mode, lmax):
+def _census_oracle(code, lmax):
     """(N, N0, ND) by decoding each burst with the polynomial decoder on the
-    GF(4)-lifted code and judging ehat - e by dual membership.  The decode
+    GF(4)-lifted code and judging ehat - e by the span oracle.  The decode
     is a function of the syndrome, so it is computed once per syndrome."""
     lifted = code_from_generator(code.n, Polynomial.make(GF4, code.g.coeffs))
+    member = _span_oracle(_stabilizer_rows(code))
     decodes = {}
     total = exact = decoded = 0
     for pattern in _burst_patterns(4, lmax):
@@ -238,23 +307,23 @@ def _census_oracle(code, mode, lmax):
             if ehat == e:
                 exact += 1
                 decoded += 1
-            elif _stabilizer_member(code, mode, tuple(a ^ b for a, b in zip(ehat, e))):
+            elif member(tuple(a ^ b for a, b in zip(ehat, e))):
                 decoded += 1
     return total, exact, decoded
 
 
 def test_census_matches_polynomial_oracle():
     checked = 0
-    for field, mode in ((GF4, "hermitian"), (GF2, "css")):
+    for field, construction in ((GF4, "hermitian"), (GF2, "css")):
         for n in (3, 5, 7, 9, 11, 13):
             for g in divisor_generators(n, field, (1, n - 1)):
                 code = code_from_generator(n, g)
                 try:
-                    stats = burst_census(code, mode, lmax=None if n <= 9 else 3)
+                    stats = burst_census(code, construction, lmax=None if n <= 9 else 3)
                 except NotDualContaining:
                     continue
                 got = (stats.total, stats.exact, stats.decoded)
-                assert got == _census_oracle(code, mode, stats.lmax), (code, mode)
+                assert got == _census_oracle(code, stats.lmax), (code, construction)
                 checked += 1
     assert checked == 8
 
@@ -263,16 +332,16 @@ def test_census_codeword_bursts_match_oracle():
     # at lmax = n some bursts are codewords: each decodes to 0 at every
     # start and is degenerate exactly when it is a stabilizer
     checked = 0
-    for field, mode in ((GF4, "hermitian"), (GF2, "css")):
+    for field, construction in ((GF4, "hermitian"), (GF2, "css")):
         for n in (3, 5, 7):
             for g in divisor_generators(n, field, (1, n - 1)):
                 code = code_from_generator(n, g)
                 try:
-                    stats = burst_census(code, mode, lmax=n)
+                    stats = burst_census(code, construction, lmax=n)
                 except NotDualContaining:
                     continue
                 got = (stats.total, stats.exact, stats.decoded)
-                assert got == _census_oracle(code, mode, n), (code, mode)
+                assert got == _census_oracle(code, n), (code, construction)
                 checked += 1
     assert checked == 6
     stats = burst_census(QUAD5, "hermitian", lmax=5)
@@ -282,17 +351,17 @@ def test_census_codeword_bursts_match_oracle():
 
 
 @pytest.mark.parametrize(
-    "n, field, mode, gen, expected",
+    "n, field, construction, gen, expected",
     [
         (23, GF2, "css", "(1^11 1^9 1^7 1^6 1^5 1^1 1^0)", (209205, 208272, 212991)),
         (25, GF4, "hermitian", "(1^12 2^11 1^10 2^7 3^6 2^5 1^2 2^1 1^0)",
          (236664, 236190, 237567)),
     ],
 )
-def test_census_counts_at_r11_and_r12(n, field, mode, gen, expected):
+def test_census_counts_at_r11_and_r12(n, field, construction, gen, expected):
     # beyond the oracle's reach; 100 and 26 of the 4096 patterns trap at two
     # tied shifts.  The counts are those of the per-burst census at lmax 7.
-    stats = burst_census(code_from_generator(n, parse_generator(gen, field)), mode, lmax=7)
+    stats = burst_census(code_from_generator(n, parse_generator(gen, field)), construction, lmax=7)
     assert (stats.decoded, stats.exact, stats.total) == expected
 
 

@@ -368,6 +368,23 @@ def test_cli_rejects_degenerate_parameters(argv, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["burst-limit", "--n", "5", "--field", "gf4", "--gen", "(1^100000000000000000000 1^0)"],
+        ["burst-limit", "--n", "99999999999999999999", "--field", "gf4", "--gen", "(1^2 2^1 1^0)"],
+        ["qetd-sim", "--n", "99999999999999999999", "--field", "gf2", "--gen", "(1^1 1^0)"],
+    ],
+    ids=["generator-degree", "burst-limit-length", "qetd-sim-length"],
+)
+def test_cli_oversized_integers_are_one_error_line(argv):
+    # a generator degree above n is rejected before any coefficient is laid
+    # out, and a length too large for x^n - 1 is an input error
+    rc, out, err = _run_main(argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # CLI contract: any argv that parses ends with exit 0 or 1 (2 only for a
 # fixture discrepancy) and at most one line on stderr, never a traceback.
