@@ -31,6 +31,10 @@ from .galois import FieldSpec
 from .matgf import MatrixGF
 from .polyring import Polynomial
 
+# The longest code length taken.  x^n - 1 is built as one int of n*m bits
+# before anything else checks a code; over GF(4) this keeps it to 16 KB.
+MAX_LENGTH = 65535
+
 
 @dataclass(frozen=True)
 class CyclicCode:
@@ -82,8 +86,8 @@ class CyclicCode:
 
 
 def code_from_generator(n: int, g: Polynomial) -> CyclicCode:
-    if n < 1:
-        raise ValueError("length must be positive")
+    if not 1 <= n <= MAX_LENGTH:
+        raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {n}")
     if g.is_zero or not g.is_monic:
         raise ValueError("generator must be monic and nonzero")
     field = g.field

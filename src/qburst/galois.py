@@ -191,6 +191,15 @@ class FieldSpec:
         return f"FieldSpec(m={self.m}, modulus={self.modulus:#x})"
 
 
+def _xor_sums(rows) -> list[int]:
+    """The XOR of one entry of each row, for every choice of entries; the
+    choice in the first row varies fastest."""
+    sums = [0]
+    for row in rows:
+        sums = [a ^ b for b in row for a in sums]
+    return sums
+
+
 @lru_cache(maxsize=None)
 def field_make(m: int) -> FieldSpec:
     """Construct (and cache) GF(2^m)."""

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterator
 
-from .galois import FieldSpec
+from .galois import FieldSpec, _xor_sums
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,7 @@ class Polynomial:
     def _multiples(self) -> list[int]:
         """Packed c * self at index c, for every element c of the field:
         the XOR of the doublings x^j * self over the set bits j of c."""
-        multiples = [0]
-        for p in self.field.doublings(self.bits):
-            multiples += [v ^ p for v in multiples]
-        return multiples
+        return _xor_sums([(0, p) for p in self.field.doublings(self.bits)])
 
     # -- arithmetic -----------------------------------------------------------
 

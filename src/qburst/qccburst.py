@@ -80,14 +80,20 @@ def window_pairs(code: CyclicCode, width: int, start: int):
     return reduced.rank, tuple(pairs)
 
 
+def _deficient_windows(code: CyclicCode):
+    """(width, pairs) of every rank-deficient window, by width 1 .. r // 2
+    (width 1 even when r // 2 is 0) and then by start."""
+    for width in range(1, max(code.r // 2, 1) + 1) if code.r else ():
+        for start in range(code.n - 2 * width + 1):
+            rank, pairs = window_pairs(code, width, start)
+            if rank < width:
+                yield width, pairs
+
+
 def classical_burst_limit(code: CyclicCode) -> int:
     """Largest b such that every b consecutive columns of the b-shortened
     check matrix are linearly independent; 0 when single errors collide."""
-    cap = min(code.r, code.n) // 2
-    for b in range(1, cap + 1):
-        if any(window_pairs(code, b, start)[0] < b for start in range(code.n - 2 * b + 1)):
-            return b - 1
-    return cap
+    return next((width - 1 for width, _ in _deficient_windows(code)), code.r // 2)
 
 
 def degeneracy_check(code: CyclicCode, e, f, *, dual_of: CyclicCode | None = None) -> bool:
@@ -163,22 +169,15 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode):
 
     Returns (L, ell0, flags): L is the first length admitting a
     nondegenerate pair minus one (or the Reiger cap), ell0 likewise for
-    any rank deficiency at all.  Width 1 runs even when the cap is 0:
-    its windows hold every single-error collision.
+    any rank deficiency at all.
     """
-    cap = code.r // 2
-    ell0: int | None = None
-    for ell in range(1, max(cap, 1) + 1):
-        for start in range(code.n - 2 * ell + 1):
-            rank, pairs = window_pairs(code, ell, start)
-            if rank == ell:
-                continue
-            if ell0 is None:
-                ell0 = ell - 1
-            for e, fvec in pairs:
-                if not degeneracy_check(code, e, fvec, dual_of=dual_of):
-                    return ell - 1, ell0, ()
-    return cap, cap if ell0 is None else ell0, ("cap-limited",)
+    cap = ell0 = code.r // 2
+    for ell, pairs in _deficient_windows(code):
+        ell0 = min(ell0, ell - 1)  # widths rise, so the first one sets it
+        for e, fvec in pairs:
+            if not degeneracy_check(code, e, fvec, dual_of=dual_of):
+                return ell - 1, ell0, ()
+    return cap, ell0, ("cap-limited",)
 
 
 def qcc_burst_limit(codes, construction: str) -> QccReport:

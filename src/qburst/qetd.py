@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cycliccode import CyclicCode, burst_count, stabilizer_generator
-from .galois import GF4
+from .galois import GF4, _xor_sums
 from .polyring import Polynomial
 from .qccburst import _components
 
@@ -149,7 +149,7 @@ class _PackedDecoder:
         self.r = g.degree
         # chunks[pos][v]: the image of the four digits of v at pos..pos+3
         self.chunks = [
-            _digit_sums([image[(pos + t) % self.n] for t in range(4)]) for pos in range(self.n)
+            _xor_sums([image[(pos + t) % self.n] for t in range(4)]) for pos in range(self.n)
         ]
         # c * g packed: XORed in after a shift, it clears an overflow digit c.
         self.gmul = [g.scale(c).bits for c in range(4)]
@@ -199,22 +199,13 @@ def _position_syndrome_tables(n: int, modulus: Polynomial) -> list[list[int]]:
     return [[rem.scale(d).bits for d in range(4)] for rem in rems]
 
 
-def _digit_sums(rows: list[list[int]]) -> list[int]:
-    """The XOR of one entry of each row, for every choice of entries; the
-    choice in the first row varies fastest."""
-    sums = [0]
-    for row in rows:
-        sums = [a ^ b for b in row for a in sums]
-    return sums
-
-
 def _unit_bursts(table: list[list[int]], length: int):
     """Packed words at start 0 of every burst of this length whose first
     digit is 1 (and, past length 1, whose last digit is nonzero).  Each is
     a head (the first half of the digits) XOR a tail, so the lists held
     are about the square root of the pattern count."""
     rows = [table[0][1:2], *table[1 : length - 1], table[length - 1][1:]][:length]
-    heads, tails = _digit_sums(rows[: (length + 1) // 2]), _digit_sums(rows[(length + 1) // 2 :])
+    heads, tails = _xor_sums(rows[: (length + 1) // 2]), _xor_sums(rows[(length + 1) // 2 :])
     return (head ^ tail for head in heads for tail in tails)
 
 

@@ -5,18 +5,20 @@ dual, so the CSS construction yields a quantum code, and expanding every
 symbol over a self-dual basis yields a dual-containing binary image of
 length mn.  The image's true burst limit is found by scanning the
 (hbar+1)-column windows of the (hbar+1)-shortened check matrix: each
-window is rank deficient, its dependency pairs are closed under scalar
-combinations, and the shortest binary image span among the nondegenerate
-combinations caps the correctable burst length.
+window is rank deficient, every nonzero combination of its dependency
+pairs (the window's whole kernel) is a pair of confusable errors, and
+the shortest binary image span among the nondegenerate combinations caps
+the correctable burst length.  The kernel's images are XOR-sum tables
+built from packed doublings, so no field multiply runs outside the
+degeneracy test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .cycliccode import CyclicCode, burst_length, code_from_generator, in_euclidean_dual
-from .galois import FieldSpec, SelfDualBasis, field_make, self_dual_basis
+from .galois import FieldSpec, SelfDualBasis, _xor_sums, field_make, self_dual_basis
 from .matgf import row_reduce  # noqa: F401  perfbench's tracer patches this binding
 from .polyring import Polynomial
 from .qccburst import NotDualContaining, window_pairs
@@ -144,20 +146,21 @@ def _window_base_pairs(rs: RsCode, start: int):
 def rs_image_burst_limit(rs: RsCode) -> RsReport:
     """True burst limit of the binary image of a quantum RS code.
 
-    Scans every window; the shortest nondegenerate scalar combination
-    (measured by the larger of its two image spans) bounds the first
-    uncorrectable length, and the limit is one less.  When every
-    combination everywhere is degenerate the image Reiger bound is
-    reported with a flag.
+    Scans every window; the shortest nondegenerate combination of its
+    dependency pairs (measured by the larger of its two image spans)
+    bounds the first uncorrectable length, and the limit is one less.
+    When every combination everywhere is degenerate the image Reiger
+    bound is reported with a flag.
 
-    The binary image map is GF(2)-linear, so each window packs the image
-    of every scalar multiple of its pairs into an int once (bit i*m + j
-    holds coordinate j of symbol i): a combination is one XOR and its
-    image span a difference of bit lengths.
+    The binary image map is GF(2)-linear, so the packed images (bit
+    i*m + j holds coordinate j of symbol i) of a window's whole kernel
+    are XOR sums of the images of its pairs' doublings, and an image
+    span is a difference of bit lengths.
     """
     code = rs.code
+    field = rs.field
     n, m, hbar = rs.n, rs.m, rs.hbar
-    mul = rs.field.mul
+    mask = field.q - 1
     width = hbar + 1
     flags: list[str] = []
     qrb = rs_image_qrb(rs)
@@ -166,48 +169,37 @@ def rs_image_burst_limit(rs: RsCode) -> RsReport:
     best = unset
     image = [
         sum(bit << j for j, bit in enumerate(rs.basis.coordinates(s)))
-        for s in range(rs.field.q)
+        for s in range(field.q)
     ]
-    nonzero = range(1, rs.field.q)
+    doubled = [[image[d] for d in field.doublings(s)] for s in range(field.q)]
 
-    def scaled_images(block) -> list[int]:
-        """Packed image of lam * block at index lam (index 0 holds 0)."""
-        return [0] + [
-            sum(image[mul(lam, s)] << (i * m) for i, s in enumerate(block) if s)
-            for lam in nonzero
-        ]
+    def doubling_rows(block) -> list[tuple[int, int]]:
+        """(0, packed image of x^j * block) for j = 0 .. m-1."""
+        return [(0, sum(doubled[s][j] << (i * m) for i, s in enumerate(block))) for j in range(m)]
 
     for start in range(0, n - 2 * width + 1):
         rank_, base = _window_base_pairs(rs, start)
         if not hbar - 1 <= rank_ <= hbar and "rank-bound-violated" not in flags:
             flags.append("rank-bound-violated")
-        images = [
-            (scaled_images(e[start : start + width]), scaled_images(fv[n - width :]))
-            for e, fv in base
-        ]
-        # single multiples (no partner, scalar 0), then pairwise sums
-        singles = [(a, None) for a in range(len(base))]
-        for a, b in singles + list(combinations(range(len(base)), 2)):
-            e1, f1 = images[a]
-            e2, f2 = images[b] if b is not None else ((0,), (0,))
-            for l1 in nonzero:
-                for l2 in nonzero if b is not None else (0,):
-                    ex = e1[l1] ^ e2[l2]
-                    span_e = ex.bit_length() - (ex & -ex).bit_length() + 1
-                    if span_e >= best:
-                        continue
-                    fx = f1[l1] ^ f2[l2]
-                    worst = max(span_e, fx.bit_length() - (fx & -fx).bit_length() + 1)
-                    if worst >= best:
-                        continue
-                    diff = [0] * n
-                    for k, lam in ((a, l1), (b, l2)):
-                        if lam:
-                            e, fv = base[k]
-                            for i in range(n):
-                                diff[i] ^= mul(lam, e[i] ^ fv[i])
-                    if not in_euclidean_dual(code, tuple(diff)):
-                        best = worst
+        # the images of sum_k c_k e_k and of sum_k c_k f_k at sum_k c_k q^k
+        e_images = _xor_sums([r for e, _ in base for r in doubling_rows(e[start : start + width])])
+        f_images = _xor_sums([r for _, fv in base for r in doubling_rows(fv[n - width :])])
+        for index in range(1, len(e_images)):
+            ex = e_images[index]
+            span_e = ex.bit_length() - (ex & -ex).bit_length() + 1
+            if span_e >= best:
+                continue
+            fx = f_images[index]
+            worst = max(span_e, fx.bit_length() - (fx & -fx).bit_length() + 1)
+            if worst >= best:
+                continue
+            # the coefficients c_k are the base-q digits of the index
+            diff = (0,) * n
+            for k, (e, fv) in enumerate(base):
+                if c := index >> (k * m) & mask:
+                    diff = tuple(d ^ field.mul(c, a ^ b) for d, a, b in zip(diff, e, fv))
+            if not in_euclidean_dual(code, diff):
+                best = worst
 
     if best == unset:
         flags.append("bound-limited")

@@ -23,7 +23,7 @@ from importlib import resources
 from math import gcd
 from pathlib import Path
 
-from .cycliccode import code_from_generator
+from .cycliccode import MAX_LENGTH, code_from_generator
 from .galois import GF2, GF4, FieldSpec
 from .polyring import Polynomial, divisor_generators
 from .qccburst import NotDualContaining, QccReport, qcc_burst_limit
@@ -106,6 +106,8 @@ class SearchJob:
     jobs: int = 1
 
     def lengths(self) -> list[int]:
+        if self.n_max > MAX_LENGTH:
+            raise ValueError(f"lengths run 1..{MAX_LENGTH}, got n-max={self.n_max}")
         q = FIELDS[self.field].q
         return [
             n

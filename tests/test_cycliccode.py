@@ -36,6 +36,9 @@ def test_code_from_generator_examples():
     assert (QUAD5.k, QUAD5.r) == (3, 2)
     with pytest.raises(ValueError, match="does not divide"):
         code_from_generator(7, P(GF2, 1, 0, 1))  # x^2 + 1
+    for n in (0, 65537, 10**20):
+        with pytest.raises(ValueError, match=r"length must be in 1\.\.65535"):
+            code_from_generator(n, P(GF2, 1, 1))
 
 
 def _code_family():

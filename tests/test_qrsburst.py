@@ -287,8 +287,12 @@ def _image_limit_oracle(rs, cap):
     return None if best is None else best - 1
 
 
-@pytest.mark.parametrize("m,K", [(4, 5), (4, 9), (3, 1)])
+@pytest.mark.parametrize(
+    "m,K", [(3, 1), (3, 3), (4, 1), (4, 3), (4, 5), (4, 7), (4, 9), (4, 11)]
+)
 def test_image_limit_matches_pair_enumeration_oracle(m, K):
+    # every quantum RS code of m = 3 and 4: windows with one and with two
+    # base pairs, and the width-2 windows of hbar = 1
     rs = rs_make(m, K)
     rep = rs_image_burst_limit(rs)
     assert _image_limit_oracle(rs, rep.L + 1) == rep.L

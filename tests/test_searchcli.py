@@ -369,20 +369,27 @@ def test_cli_rejects_degenerate_parameters(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,named",
     [
-        ["burst-limit", "--n", "5", "--field", "gf4", "--gen", "(1^100000000000000000000 1^0)"],
-        ["burst-limit", "--n", "99999999999999999999", "--field", "gf4", "--gen", "(1^2 2^1 1^0)"],
-        ["qetd-sim", "--n", "99999999999999999999", "--field", "gf2", "--gen", "(1^1 1^0)"],
+        (["burst-limit", "--n", "5", "--field", "gf4", "--gen", "(1^100000000000000000000 1^0)"],
+         "degree"),
+        (["burst-limit", "--n", "99999999999999999999", "--field", "gf4", "--gen", "(1^2 2^1 1^0)"],
+         "65535"),
+        (["qetd-sim", "--n", "99999999999999999999", "--field", "gf2", "--gen", "(1^1 1^0)"],
+         "65535"),
+        (["search", "--n-min", "3", "--n-max", "99999999999999999999", "--field", "gf4"],
+         "65535"),
     ],
-    ids=["generator-degree", "burst-limit-length", "qetd-sim-length"],
+    ids=["generator-degree", "burst-limit-length", "qetd-sim-length", "search-length"],
 )
-def test_cli_oversized_integers_are_one_error_line(argv):
+def test_cli_oversized_integers_are_one_error_line(argv, named):
     # a generator degree above n is rejected before any coefficient is laid
-    # out, and a length too large for x^n - 1 is an input error
+    # out, and a length above MAX_LENGTH is rejected, naming that bound,
+    # before x^n - 1 is built or (by search) before the lengths are listed
     rc, out, err = _run_main(argv)
     assert (rc, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err
 
 
 # ---------------------------------------------------------------------------
