@@ -25,11 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
+from math import prod
+from typing import Iterator
 
 from .galois import FieldSpec
 from .matgf import MatrixGF
-from .polyring import Polynomial
+from .polyring import Polynomial, factor_xn_minus_1
 
 # The longest code length taken.  x^n - 1 is built as one int of n*m bits
 # before anything else checks a code; over GF(4) this keeps it to 16 KB.
@@ -117,15 +119,32 @@ def contains(code: CyclicCode, v) -> bool:
 
 def in_euclidean_dual(code: CyclicCode, v) -> bool:
     """True iff v lies in the Euclidean dual of the code."""
-    if len(v) != code.n:
-        raise ValueError(f"vector length {len(v)} != n={code.n}")
-    return (Polynomial.make(code.field, v) % code.dual_g).is_zero
+    return (vector_poly(code, v) % code.dual_g).is_zero
+
+
+def _partner(p: Polynomial) -> Polynomial:
+    """conj(monic(reciprocal(p))); multiplicative, an involution on the factors of x^n - 1."""
+    return p.reciprocal().monic().conjugate()
 
 
 def stabilizer_generator(dual_of: CyclicCode) -> Polynomial:
-    """s = conj(dual_g): the generator of the Hermitian dual of `dual_of`
-    over GF(4), of its Euclidean dual over GF(2) (conj is the identity)."""
-    return dual_of.dual_g.conjugate()
+    """s = conj(dual_g) = partner(h): the generator of the Hermitian dual of
+    `dual_of` over GF(4), of its Euclidean dual over GF(2) (conj is the identity)."""
+    return _partner(dual_of.h)
+
+
+def dual_containing_generators(n: int, field: FieldSpec) -> Iterator[Polynomial]:
+    """Every g of degree >= 1 admissible at length n for the construction of
+    its field (Hermitian over GF(4), CSS with itself over GF(2)).  s is the
+    product of partner(p) over the factors p outside g, so g | s iff g holds
+    no self-partner factor and at most one of each pair {p, partner(p)}."""
+    one, pairs = Polynomial.one(field), {}
+    for p in factor_xn_minus_1(n, field):
+        partner = _partner(p)
+        if partner != p and partner not in pairs:
+            pairs[p] = (one, p, partner)
+    for choice in islice(product(*pairs.values()), 1, None):  # skip g = 1
+        yield prod(choice, start=one)
 
 
 def hermitian_dual_containing(code: CyclicCode) -> bool:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from itertools import product
+from math import gcd, prod
 from typing import Iterator
 
 from .galois import FieldSpec, _xor_sums
@@ -250,19 +251,12 @@ def divisor_generators(
 ) -> Iterator[Polynomial]:
     """Yield every monic divisor of x^n - 1 with degree in the given range.
 
-    Divisors are subset products of the irreducible factors; subsets are
-    enumerated in ascending bitmask order over the sorted factor list, so
-    the stream order is deterministic.
+    Divisors are subset products of the irreducible factors, in the fixed
+    ascending bitmask order over the sorted factor list (bit i is factor i;
+    `product` varies its last position fastest, hence the reversal).
     """
-    factors = _factorization(n, field)
     lo, hi = degree_range if degree_range is not None else (0, n)
-    degrees = [p.degree for p in factors]
-    for mask in range(1 << len(factors)):
-        total = sum(d for i, d in enumerate(degrees) if (mask >> i) & 1)
-        if not lo <= total <= hi:
-            continue
-        poly = Polynomial.one(field)
-        for i, p in enumerate(factors):
-            if (mask >> i) & 1:
-                poly = poly * p
-        yield poly
+    one = Polynomial.one(field)
+    for choice in product(*[(one, p) for p in reversed(_factorization(n, field))]):
+        if lo <= sum(p.degree for p in choice) <= hi:
+            yield prod(choice, start=one)

@@ -5,9 +5,9 @@ Generator polynomials are written in the compact table notation
 1..3 encoding 1, w, w^2 of GF(4) (only 1 is legal over GF(2)), exponents
 strictly decreasing and ending at 0.
 
-The search enumerates every divisor of x^n - 1 as a candidate generator,
-keeps the dual-containing ones, computes burst limits, and emits reports
-sorted canonically so output bytes do not depend on worker count.
+The search builds each length's dual-containing generators from partner
+pairs of the factors of x^n - 1, computes their burst limits, and emits
+reports sorted canonically so output bytes do not depend on worker count.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from importlib import resources
 from math import gcd
 from pathlib import Path
 
-from .cycliccode import MAX_LENGTH, code_from_generator
+from .cycliccode import MAX_LENGTH, code_from_generator, dual_containing_generators
 from .galois import GF2, GF4, FieldSpec
-from .polyring import Polynomial, divisor_generators
-from .qccburst import NotDualContaining, QccReport, qcc_burst_limit
+from .polyring import Polynomial
+from .qccburst import QccReport, qcc_burst_limit
 from .qetd import QetdStats, burst_census
 from .qrsburst import rs_image_burst_limit, rs_make
 
@@ -118,16 +118,11 @@ class SearchJob:
 
 def _search_one_length(args: tuple[int, str, int | None]) -> list[QccReport]:
     n, field_name, delta_max = args
-    field = FIELDS[field_name]
-    reports = []
-    for g in divisor_generators(n, field, (1, n - 1)):
-        try:
-            report = qcc_burst_limit(code_from_generator(n, g), CONSTRUCTIONS[field_name])
-        except NotDualContaining:
-            continue
-        if delta_max is None or report.delta <= delta_max:
-            reports.append(report)
-    return reports
+    reports = (
+        qcc_burst_limit(code_from_generator(n, g), CONSTRUCTIONS[field_name])
+        for g in dual_containing_generators(n, FIELDS[field_name])
+    )
+    return [r for r in reports if delta_max is None or r.delta <= delta_max]
 
 
 def _report_sort_key(r: QccReport):
@@ -275,7 +270,7 @@ def verify_tables(directory: Path | None = None, include_slow: bool = False):
                 if "nk" in row:
                     row["n"], row["K"] = _parse_nk(row["nk"])
                 computed = template.format(**compute(row))
-            except (ValueError, NotDualContaining) as exc:
+            except ValueError as exc:
                 computed = f"error: {exc}"
             printed = template.format(**{"K": "?", **row})
             if printed == computed:
@@ -344,7 +339,11 @@ def _cmd_qetd_sim(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    jobs = args.jobs if args.jobs is not None else int(os.environ.get("QBURST_JOBS", "1"))
+    env = os.environ.get("QBURST_JOBS", "1")
+    try:
+        jobs = args.jobs if args.jobs is not None else int(env)
+    except ValueError:
+        raise ValueError(f"QBURST_JOBS must be an integer, got {env!r}") from None
     job = SearchJob(args.n_min, args.n_max, args.field, args.delta_max, jobs)
     payload = report_emit(search(job), args.format)
     if args.out is None or args.out == "-":
@@ -413,7 +412,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NotDualContaining, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

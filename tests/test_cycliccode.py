@@ -13,6 +13,7 @@ from qburst.cycliccode import (
     code_from_generator,
     contains,
     css_dual_containing,
+    dual_containing_generators,
     hermitian_dual_containing,
     in_euclidean_dual,
     stabilizer_generator,
@@ -147,6 +148,38 @@ def test_dual_containing_divisibility_matches_matrix_product():
             admitted = css_dual_containing(c1, c2)
             assert admitted == product_is_zero(c1.H, c2.H.transpose()), (c1, c2)
             assert admitted == css_dual_containing(c2, c1), (c1, c2)
+
+
+@pytest.mark.parametrize("field", [GF4, GF2], ids=["gf4", "gf2"])
+def test_dual_containing_generators_match_divisibility_oracle(field):
+    # the partner-pair enumerator yields exactly the divisors 1 <= deg g < n
+    # that the divisibility test admits, each once, including lengths whose
+    # admissible set is empty (GF(2) n = 1, 3, 5).  The test shares the
+    # partner map with the enumerator, so H H^dagger = 0 (H H^T = 0) is
+    # checked beside it.
+    def admits(code):
+        if field is GF4:
+            admitted = hermitian_dual_containing(code)
+            assert admitted == product_is_zero(code.H, code.H.conj_transpose()), code
+        else:
+            admitted = css_dual_containing(code, code)
+            assert admitted == product_is_zero(code.H, code.H.transpose()), code
+        return admitted
+
+    sizes = {}
+    for n in range(1, 34, 2):
+        built = list(dual_containing_generators(n, field))
+        assert len(set(built)) == len(built), n
+        oracle = {
+            g for g in divisor_generators(n, field, (1, n - 1))
+            if admits(code_from_generator(n, g))
+        }
+        assert set(built) == oracle, n
+        sizes[n] = len(built)
+    if field is GF2:
+        assert sizes[1] == sizes[3] == sizes[5] == 0 and sizes[7] == 2
+    else:
+        assert sizes[1] == 0 and sizes[5] == 2
 
 
 def test_dual_membership():

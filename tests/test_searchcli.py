@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import qburst
 from qburst.galois import GF2, GF4
 from qburst.polyring import Polynomial, divisor_generators
+from qburst.qccburst import NotDualContaining
 from qburst.searchcli import (
     SearchJob,
     build_parser,
@@ -77,6 +78,20 @@ def test_search_includes_known_codes():
     assert keyed[(15, 3, "(1^6 2^3 1^0)")] == 3
     reports = search(SearchJob(13, 13, "gf4", 0))
     assert any(r.K == 1 and r.L == 3 for r in reports)
+
+
+def test_search_builds_only_admissible_codes(monkeypatch):
+    # n = 45 over GF(4) has 32,766 divisors with 1 <= deg g < 45; only the
+    # 3^5 - 1 = 242 admissible ones are built, and none is rejected
+    built, rejected = [], []
+    original = qburst.searchcli.code_from_generator
+    monkeypatch.setattr(
+        "qburst.searchcli.code_from_generator", lambda n, g: built.append(g) or original(n, g)
+    )
+    monkeypatch.setattr(NotDualContaining, "__init__", lambda self, *a: rejected.append(a))
+    reports = search(SearchJob(45, 45, "gf4"))
+    assert len(built) == len(set(built)) == len(reports) == 242
+    assert rejected == []
 
 
 def test_search_empty_stream():
@@ -184,6 +199,17 @@ def test_jobs_env_default(tmp_path, monkeypatch, capsys):
     )
     assert rc == 0
     json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("value", ["abc", "", "2.5"])
+def test_jobs_env_not_an_integer_is_one_error_line(monkeypatch, value):
+    monkeypatch.setenv("QBURST_JOBS", value)
+    rc, out, err = _run_main(["search", "--n-min", "5", "--n-max", "7", "--field", "gf4"])
+    assert (rc, out) == (1, "")
+    assert err == f"error: QBURST_JOBS must be an integer, got {value!r}\n"
+    # an explicit --jobs does not read the variable
+    assert _run_main(["search", "--n-min", "5", "--n-max", "7", "--field", "gf4",
+                      "--jobs", "1"])[0] == 0
 
 
 @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])
@@ -307,8 +333,12 @@ def test_bundled_fixture_table3(tmp_path):
          "94868adf0358e262145a5625d65b3e854ae61a7a1056f6e7c7e5ebda3612066a"),
         (SearchJob(3, 31, "gf2"), "csv",
          "3dfe43a8e21cf5fdb9c8b34ef782cd37ff4f6024ed687ff061c8ec5721bf0301"),
+        (SearchJob(3, 45, "gf4"), "json",
+         "6b876c69db54cdd15bf77661b751735e9c9b844d75ab43275f17fc8ee648598a"),
+        (SearchJob(3, 63, "gf2"), "json",
+         "61c9113fc473ac3a4163479524f471e1264108367587c12686949f5cc76447f2"),
     ],
-    ids=["gf4-json", "gf2-csv"],
+    ids=["gf4-json", "gf2-csv", "gf4-json-3..45", "gf2-json-3..63"],
 )
 def test_search_output_digests(job, fmt, digest):
     # regression oracle: search output bytes are pinned across refactors
