@@ -7,20 +7,17 @@ strictly decreasing and ending at 0.
 
 The search builds each length's dual-containing generators from partner
 pairs of the factors of x^n - 1, computes their burst limits, and emits
-reports sorted canonically so output bytes do not depend on worker count.
+reports sorted canonically.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
-from math import gcd
 from pathlib import Path
 
 from .cycliccode import MAX_LENGTH, code_from_generator, dual_containing_generators
@@ -103,26 +100,16 @@ class SearchJob:
     n_max: int
     field: str  # "gf2" | "gf4"
     delta_max: int | None = None
-    jobs: int = 1
+
+    def __post_init__(self):
+        if self.field not in FIELDS:
+            raise ValueError(f"unknown field {self.field!r}; expected gf2 or gf4")
 
     def lengths(self) -> list[int]:
+        # q is 2 or 4, so the lengths coprime to q are the odd ones
         if self.n_max > MAX_LENGTH:
             raise ValueError(f"lengths run 1..{MAX_LENGTH}, got n-max={self.n_max}")
-        q = FIELDS[self.field].q
-        return [
-            n
-            for n in range(max(self.n_min, 2), self.n_max + 1)
-            if n % 2 == 1 and gcd(n, q) == 1
-        ]
-
-
-def _search_one_length(args: tuple[int, str, int | None]) -> list[QccReport]:
-    n, field_name, delta_max = args
-    reports = (
-        qcc_burst_limit(code_from_generator(n, g), CONSTRUCTIONS[field_name])
-        for g in dual_containing_generators(n, FIELDS[field_name])
-    )
-    return [r for r in reports if delta_max is None or r.delta <= delta_max]
+        return [n for n in range(max(self.n_min, 2), self.n_max + 1) if n % 2 == 1]
 
 
 def _report_sort_key(r: QccReport):
@@ -131,17 +118,17 @@ def _report_sort_key(r: QccReport):
 
 def search(job: SearchJob) -> list[QccReport]:
     """All dual-containing cyclic codes in range with delta <= delta_max,
-    deterministically sorted regardless of parallelism."""
-    tasks = [(n, job.field, job.delta_max) for n in job.lengths()]
-    if job.jobs > 1 and len(tasks) > 1:
-        # the fork start method starts every worker at once, so never more than tasks
-        with ProcessPoolExecutor(max_workers=min(job.jobs, len(tasks))) as pool:
-            chunks = list(pool.map(_search_one_length, tasks))
-    else:
-        chunks = [_search_one_length(t) for t in tasks]
-    reports = [r for chunk in chunks for r in chunk]
-    reports.sort(key=_report_sort_key)
-    return reports
+    sorted canonically."""
+    field, construction = FIELDS[job.field], CONSTRUCTIONS[job.field]
+    reports = (
+        qcc_burst_limit(code_from_generator(n, g), construction)
+        for n in job.lengths()
+        for g in dual_containing_generators(n, field)
+    )
+    return sorted(
+        (r for r in reports if job.delta_max is None or r.delta <= job.delta_max),
+        key=_report_sort_key,
+    )
 
 
 def report_as_dict(r: QccReport) -> dict:
@@ -339,12 +326,7 @@ def _cmd_qetd_sim(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    env = os.environ.get("QBURST_JOBS", "1")
-    try:
-        jobs = args.jobs if args.jobs is not None else int(env)
-    except ValueError:
-        raise ValueError(f"QBURST_JOBS must be an integer, got {env!r}") from None
-    job = SearchJob(args.n_min, args.n_max, args.field, args.delta_max, jobs)
+    job = SearchJob(args.n_min, args.n_max, args.field, args.delta_max)
     payload = report_emit(search(job), args.format)
     if args.out is None or args.out == "-":
         sys.stdout.buffer.write(payload)
@@ -363,8 +345,16 @@ def _cmd_verify_tables(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so `main` reports them as one
+    `error:` line and exit 1; subparsers are built from this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qburst",
         description="Burst error correction limits and decoding of quantum cyclic codes",
     )
@@ -394,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--field", choices=sorted(FIELDS), required=True)
     p.add_argument("--delta-max", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_search)
@@ -408,9 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

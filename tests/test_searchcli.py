@@ -98,10 +98,24 @@ def test_search_empty_stream():
     assert search(SearchJob(3, 3, "gf4", 2)) == []
 
 
-def test_search_deterministic_across_workers():
-    job1 = SearchJob(3, 15, "gf4", 2, jobs=1)
-    job2 = SearchJob(3, 15, "gf4", 2, jobs=2)
-    assert report_emit(search(job1)) == report_emit(search(job2))
+def test_search_job_rejects_unknown_field():
+    with pytest.raises(ValueError, match="unknown field 'gf8'; expected gf2 or gf4"):
+        SearchJob(3, 9, "gf8")
+
+
+def test_import_starts_no_process_machinery():
+    # search runs serially, so a fresh interpreter's `import qburst` loads
+    # neither multiprocessing nor concurrent.futures
+    src = str(Path(qburst.__file__).resolve().parents[1])
+    code = (
+        "import sys, qburst; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def test_report_emit_shapes():
@@ -192,26 +206,6 @@ def test_cli_search_to_file(tmp_path, capsys):
     assert any(obj["n"] == 15 and obj["K"] == 3 for obj in parsed)
 
 
-def test_jobs_env_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QBURST_JOBS", "2")
-    rc = main(
-        ["search", "--n-min", "5", "--n-max", "7", "--field", "gf4", "--out", "-"]
-    )
-    assert rc == 0
-    json.loads(capsys.readouterr().out)
-
-
-@pytest.mark.parametrize("value", ["abc", "", "2.5"])
-def test_jobs_env_not_an_integer_is_one_error_line(monkeypatch, value):
-    monkeypatch.setenv("QBURST_JOBS", value)
-    rc, out, err = _run_main(["search", "--n-min", "5", "--n-max", "7", "--field", "gf4"])
-    assert (rc, out) == (1, "")
-    assert err == f"error: QBURST_JOBS must be an integer, got {value!r}\n"
-    # an explicit --jobs does not read the variable
-    assert _run_main(["search", "--n-min", "5", "--n-max", "7", "--field", "gf4",
-                      "--jobs", "1"])[0] == 0
-
-
 @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "directory"])
 def test_cli_search_unwritable_out_is_one_error_line(tmp_path, target):
     out = tmp_path / target
@@ -221,29 +215,6 @@ def test_cli_search_unwritable_out_is_one_error_line(tmp_path, target):
     assert rc == 1
     assert stdout == ""
     assert err.startswith("error:") and err.count("\n") == 1
-
-
-def test_search_pool_has_at_most_one_worker_per_length(monkeypatch):
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr("qburst.searchcli.ProcessPoolExecutor", FakePool)
-    job = SearchJob(3, 5, "gf4", 2, jobs=5000)
-    assert len(job.lengths()) == 2
-    assert report_emit(search(job)) == report_emit(search(SearchJob(3, 5, "gf4", 2)))
-    assert sizes == [2]
 
 
 def test_verify_tables_tmp_fixture(tmp_path):
@@ -292,6 +263,31 @@ def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["rs-limit", "--m", "4", "--kq", "5"])
     assert args.m == 4
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (["search", "--n-min", "3", "--n-max", "5", "--field", "gf4", "--jobs", "2"],
+         "unrecognized arguments: --jobs 2"),
+        (["burst-limit", "--n", "x", "--field", "gf4", "--gen", "(1^0)"],
+         "argument --n: invalid int value: 'x'"),
+        (["verify-tables", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["no-subcommand", "search-jobs", "non-integer-n", "verify-tables-bogus"],
+)
+def test_cli_usage_error_is_one_error_line(argv, message):
+    # a usage error exits 1, like any input error; exit 2 means a fixture
+    # discrepancy
+    assert _run_main(argv) == (1, "", f"error: {message}\n")
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--help"])
+    assert exc.value.code == 0
+    assert "--n-min" in capsys.readouterr().out
 
 
 def test_bundled_fixtures_tables_1_and_2(tmp_path):
@@ -423,8 +419,8 @@ def test_cli_oversized_integers_are_one_error_line(argv, named):
 
 
 # ---------------------------------------------------------------------------
-# CLI contract: any argv that parses ends with exit 0 or 1 (2 only for a
-# fixture discrepancy) and at most one line on stderr, never a traceback.
+# CLI contract: every argv ends with exit 0 or 1 (2 only for a fixture
+# discrepancy) and at most one line on stderr, never a traceback.
 # ---------------------------------------------------------------------------
 
 
@@ -529,12 +525,11 @@ def test_cli_contract_qetd_sim(argv):
     _LENGTH,
     _FIELD,
     st.one_of(st.none(), st.integers(-1, 3)),
-    st.one_of(st.none(), st.integers(-1, 2)),
     st.sampled_from(["json", "csv"]),
 )
-def test_cli_contract_search(n_min, n_max, field, delta_max, jobs, fmt):
+def test_cli_contract_search(n_min, n_max, field, delta_max, fmt):
     argv = ["search", "--n-min", str(n_min), "--n-max", str(n_max), "--field", field]
-    argv += ["--format", fmt, "--jobs", str(1 if jobs is None else jobs)]
+    argv += ["--format", fmt]
     if delta_max is not None:
         argv += ["--delta-max", str(delta_max)]
     _assert_contract(argv)
