@@ -127,6 +127,14 @@ def _partner(p: Polynomial) -> Polynomial:
     return p.reciprocal().monic().conjugate()
 
 
+def _orbit_key(g: Polynomial) -> int:
+    """Smallest `.bits` over g, conj(g), rev(g) = monic(reciprocal(g)) and
+    conj(rev(g)).  Reversing positions and conjugating digits keep burst
+    lengths and commute with `_partner`, so the codes of one key share K
+    and every burst limit (conj is the identity over GF(2))."""
+    return min(p.bits for p in (g, g.conjugate(), g.reciprocal().monic(), _partner(g)))
+
+
 def stabilizer_generator(dual_of: CyclicCode) -> Polynomial:
     """s = conj(dual_g) = partner(h): the generator of the Hermitian dual of
     `dual_of` over GF(4), of its Euclidean dual over GF(2) (conj is the identity)."""

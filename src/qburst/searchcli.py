@@ -6,8 +6,11 @@ Generator polynomials are written in the compact table notation
 strictly decreasing and ending at 0.
 
 The search builds each length's dual-containing generators from partner
-pairs of the factors of x^n - 1, computes their burst limits, and emits
-reports sorted canonically.
+pairs of the factors of x^n - 1, checks each code's construction, and
+emits reports sorted canonically.  The window sweep runs once per orbit
+under reversing positions and conjugating digits (`cycliccode._orbit_key`):
+both maps keep burst lengths and commute with the partner map that fixes
+the stabilizer, so every member shares K and the limits of the first.
 """
 
 from __future__ import annotations
@@ -16,14 +19,14 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .cycliccode import MAX_LENGTH, code_from_generator, dual_containing_generators
+from .cycliccode import MAX_LENGTH, _orbit_key, code_from_generator, dual_containing_generators
 from .galois import GF2, GF4, FieldSpec
 from .polyring import Polynomial
-from .qccburst import QccReport, qcc_burst_limit
+from .qccburst import QccReport, _components, qcc_burst_limit
 from .qetd import QetdStats, burst_census
 from .qrsburst import rs_image_burst_limit, rs_make
 
@@ -106,9 +109,11 @@ class SearchJob:
             raise ValueError(f"unknown field {self.field!r}; expected gf2 or gf4")
 
     def lengths(self) -> list[int]:
-        # q is 2 or 4, so the lengths coprime to q are the odd ones
+        if self.n_min < 1:
+            raise ValueError(f"lengths run 1..{MAX_LENGTH}, got n-min={self.n_min}")
         if self.n_max > MAX_LENGTH:
             raise ValueError(f"lengths run 1..{MAX_LENGTH}, got n-max={self.n_max}")
+        # q is 2 or 4, so the lengths coprime to q are the odd ones
         return [n for n in range(max(self.n_min, 2), self.n_max + 1) if n % 2 == 1]
 
 
@@ -118,17 +123,23 @@ def _report_sort_key(r: QccReport):
 
 def search(job: SearchJob) -> list[QccReport]:
     """All dual-containing cyclic codes in range with delta <= delta_max,
-    sorted canonically."""
+    sorted canonically.  Every code is built and passes the construction
+    check; the first member of each orbit is swept, and the others take
+    its report with their own generator."""
     field, construction = FIELDS[job.field], CONSTRUCTIONS[job.field]
-    reports = (
-        qcc_burst_limit(code_from_generator(n, g), construction)
-        for n in job.lengths()
-        for g in dual_containing_generators(n, field)
-    )
-    return sorted(
-        (r for r in reports if job.delta_max is None or r.delta <= job.delta_max),
-        key=_report_sort_key,
-    )
+    reports = []
+    for n in job.lengths():
+        orbits: dict[int, QccReport] = {}
+        for g in dual_containing_generators(n, field):
+            code, key = code_from_generator(n, g), _orbit_key(g)
+            if key in orbits:
+                _components(code, construction)
+                report = replace(orbits[key], generators=(g.coeffs,))
+            else:
+                report = orbits[key] = qcc_burst_limit(code, construction)
+            if job.delta_max is None or report.delta <= job.delta_max:
+                reports.append(report)
+    return sorted(reports, key=_report_sort_key)
 
 
 def report_as_dict(r: QccReport) -> dict:

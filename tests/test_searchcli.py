@@ -12,9 +12,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import qburst
+from qburst.cycliccode import code_from_generator
 from qburst.galois import GF2, GF4
 from qburst.polyring import Polynomial, divisor_generators
-from qburst.qccburst import NotDualContaining
+from qburst.qccburst import NotDualContaining, qcc_burst_limit
 from qburst.searchcli import (
     SearchJob,
     build_parser,
@@ -82,16 +83,35 @@ def test_search_includes_known_codes():
 
 def test_search_builds_only_admissible_codes(monkeypatch):
     # n = 45 over GF(4) has 32,766 divisors with 1 <= deg g < 45; only the
-    # 3^5 - 1 = 242 admissible ones are built, and none is rejected
-    built, rejected = [], []
+    # 3^5 - 1 = 242 admissible ones are built, and none is rejected.  They
+    # fall into 69 reversal/conjugation orbits, one window sweep each.
+    built, rejected, swept = [], [], []
     original = qburst.searchcli.code_from_generator
     monkeypatch.setattr(
         "qburst.searchcli.code_from_generator", lambda n, g: built.append(g) or original(n, g)
     )
     monkeypatch.setattr(NotDualContaining, "__init__", lambda self, *a: rejected.append(a))
+    sweep = qburst.qccburst._component_sweep
+    monkeypatch.setattr(
+        "qburst.qccburst._component_sweep", lambda *a: swept.append(a) or sweep(*a)
+    )
     reports = search(SearchJob(45, 45, "gf4"))
     assert len(built) == len(set(built)) == len(reports) == 242
     assert rejected == []
+    assert len(swept) == 69
+
+
+@pytest.mark.parametrize("field,count", [("gf4", 104), ("gf2", 40)], ids=["gf4", "gf2"])
+def test_search_orbit_members_match_direct_limits(field, count):
+    # oracle for the shared sweep: every report equals the limits of its
+    # own code, computed directly
+    f = GF4 if field == "gf4" else GF2
+    reports = search(SearchJob(3, 31, field))
+    assert len(reports) == count
+    for r in reports:
+        (g,) = r.generators
+        direct = qcc_burst_limit(code_from_generator(r.n, Polynomial.make(f, g)), r.construction)
+        assert (r.K, r.L, r.ell0, r.flags) == (direct.K, direct.L, direct.ell0, direct.flags), r
 
 
 def test_search_empty_stream():
@@ -333,8 +353,13 @@ def test_bundled_fixture_table3(tmp_path):
          "6b876c69db54cdd15bf77661b751735e9c9b844d75ab43275f17fc8ee648598a"),
         (SearchJob(3, 63, "gf2"), "json",
          "61c9113fc473ac3a4163479524f471e1264108367587c12686949f5cc76447f2"),
+        (SearchJob(3, 64, "gf2", 2), "json",
+         "9d50b12bec55fd525d121d9e3402d892b2b20f0563b52745b346016eb5bec22a"),
+        (SearchJob(3, 45, "gf4", 2), "csv",
+         "c1b8e7f0b2d75cf6ac81e47bd7fac03b4543642f8c9ab5a763a3a71558624012"),
     ],
-    ids=["gf4-json", "gf2-csv", "gf4-json-3..45", "gf2-json-3..63"],
+    ids=["gf4-json", "gf2-csv", "gf4-json-3..45", "gf2-json-3..63",
+         "gf2-json-3..64-delta2", "gf4-csv-3..45-delta2"],
 )
 def test_search_output_digests(job, fmt, digest):
     # regression oracle: search output bytes are pinned across refactors
@@ -366,6 +391,16 @@ def test_verify_tables_rejected_row_is_reported_per_row(tmp_path, capsys, name, 
     out = capsys.readouterr().out
     assert out.startswith("MISMATCH  ") and "computed error: " in out
     assert out.splitlines()[1].startswith("ok        ")
+
+
+@pytest.mark.parametrize("n_min", ["-5", "0"])
+def test_cli_search_rejects_n_min_below_1(n_min):
+    # lengths run 1..MAX_LENGTH at both ends of the range
+    assert _run_main(["search", "--n-min", n_min, "--n-max", "7", "--field", "gf2"]) == (
+        1, "", f"error: lengths run 1..65535, got n-min={n_min}\n"
+    )
+    rc, out, _ = _run_main(["search", "--n-min", "1", "--n-max", "7", "--field", "gf2"])
+    assert rc == 0 and json.loads(out)
 
 
 def test_cli_search_lengths_with_high_degree_factors(capsys):
