@@ -5,20 +5,25 @@ dual, so the CSS construction yields a quantum code, and expanding every
 symbol over a self-dual basis yields a dual-containing binary image of
 length mn.  The image's true burst limit is found by scanning the
 (hbar+1)-column windows of the (hbar+1)-shortened check matrix: each
-window is rank deficient, every nonzero combination of its dependency
-pairs (the window's whole kernel) is a pair of confusable errors, and
-the shortest binary image span among the nondegenerate combinations caps
-the correctable burst length.  The kernel's images are XOR-sum tables
-built from packed doublings, so no field multiply runs outside the
-degeneracy test.
+window is rank deficient, every nonzero vector of its kernel is a pair
+of confusable errors, and the shortest binary image span among the
+nondegenerate ones caps the correctable burst length.  The kernel is
+scanned by projective points {c * v : c != 0}, each once, and that is
+exact: degeneracy is GF(2^m)-linear, so one dual test serves every
+multiple, and every multiple has v's support, so its image span comes
+from the two end symbols alone, read from tables indexed by discrete
+log, with no field multiply in the scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
+from operator import sub
 
 from .cycliccode import CyclicCode, burst_length, code_from_generator, in_euclidean_dual
-from .galois import FieldSpec, SelfDualBasis, _xor_sums, field_make, self_dual_basis
+from .galois import FieldSpec, SelfDualBasis, field_make, self_dual_basis
 from .matgf import row_reduce  # noqa: F401  perfbench's tracer patches this binding
 from .polyring import Polynomial
 from .qccburst import NotDualContaining, window_pairs
@@ -143,63 +148,144 @@ def _window_base_pairs(rs: RsCode, start: int):
     return window_pairs(rs.code, rs.hbar + 1, start)
 
 
+@lru_cache(maxsize=None)
+def _span_tables(basis: SelfDualBasis):
+    """Image tables of GF(2^m) under one basis, indexed by the discrete log k
+    of alpha^k.
+
+    Returns exp (doubled) and log; `top` and `low`, the bit length and the
+    1-based lowest set bit of each element's packed image (doubled, so a
+    slice of q - 1 entries from any log is one full turn); and side_min,
+    where side_min[d] is the least top(c * alpha^d) - low(c) over c != 0.
+    """
+    field = basis.field
+    order = field.q - 1
+    exp = [field.pow(field.alpha, k) for k in range(order)]
+    log = [0] * field.q
+    for k, a in enumerate(exp):
+        log[a] = k
+    images = [sum(bit << j for j, bit in enumerate(basis.coordinates(a))) for a in exp]
+    top = [x.bit_length() for x in images]
+    low = [(x & -x).bit_length() for x in images]
+    side_min = [min(top[(u + d) % order] - low[u] for u in range(order)) for d in range(order)]
+    return tuple(exp * 2), tuple(log), tuple(top * 2), tuple(low * 2), tuple(side_min)
+
+
 def rs_image_burst_limit(rs: RsCode) -> RsReport:
     """True burst limit of the binary image of a quantum RS code.
 
-    Scans every window; the shortest nondegenerate combination of its
-    dependency pairs (measured by the larger of its two image spans)
-    bounds the first uncorrectable length, and the limit is one less.
-    When every combination everywhere is degenerate the image Reiger
-    bound is reported with a flag.
+    Scans every window; the shortest nondegenerate vector of its kernel
+    (measured by the larger of its two image spans) bounds the first
+    uncorrectable length, and the limit is one less.  When every kernel
+    vector everywhere is degenerate the image Reiger bound is reported
+    with a flag.
 
-    The binary image map is GF(2)-linear, so the packed images (bit
-    i*m + j holds coordinate j of symbol i) of a window's whole kernel
-    are XOR sums of the images of its pairs' doublings, and an image
-    span is a difference of bit lengths.
+    The kernel is scanned by projective points {c * v : c != 0}, each once:
+    the first base pair b0 alone, then the lines u + lam * b0 (lam in
+    GF(q)) over the other points u of the kernel.  Two facts keep this
+    exact.  Degeneracy is GF(q)-linear, so one dual test serves a point.
+    And every multiple c * v has v's support, so its image span (bit i*m + j
+    of the packed image holds coordinate j of symbol i) is
+    m * (hi - lo) + 1 + top(c * v_hi) - low(c * v_lo) for the end symbols
+    lo <= hi of v; over c this depends only on the ratio v_hi / v_lo,
+    whose best case side_min prunes a point before its q - 1 multiples
+    are scored.  On a line the ends are those of the union support of u
+    and b0 for every lam except the ones (at most one per end) that
+    cancel an end symbol; those points are scored from their own vectors.
     """
     code = rs.code
-    field = rs.field
     n, m, hbar = rs.n, rs.m, rs.hbar
-    mask = field.q - 1
+    order = rs.field.q - 1
     width = hbar + 1
+    exp, log, top, low, side_min = _span_tables(rs.basis)
+    least = min(side_min)
     flags: list[str] = []
     qrb = rs_image_qrb(rs)
     lower = rs_lower_bound(rs)
     unset = m * n + 1  # longer than any image span
     best = unset
-    image = [
-        sum(bit << j for j, bit in enumerate(rs.basis.coordinates(s)))
-        for s in range(field.q)
-    ]
-    doubled = [[image[d] for d in field.doublings(s)] for s in range(field.q)]
 
-    def doubling_rows(block) -> list[tuple[int, int]]:
-        """(0, packed image of x^j * block) for j = 0 .. m-1."""
-        return [(0, sum(doubled[s][j] << (i * m) for i, s in enumerate(block))) for j in range(m)]
+    # A kernel vector (e, f) is held as one tuple: e's window, then f's.
+    # The windows are disjoint, so e - f is the two put in place (e's
+    # window starts at the scan's `start`).
+    def axpy(u, lam: int, w):
+        """u + lam * w, symbol by symbol."""
+        if not lam:
+            return u
+        s = log[lam]
+        return tuple(x ^ exp[s + log[y]] if y else x for x, y in zip(u, w))
+
+    def ends(v, side: int):
+        """(m * (hi - lo) + 1, log v_lo, log v_hi) of one window of v."""
+        part = v[side : side + width]
+        support = [k for k, x in enumerate(part) if x]
+        lo, hi = support[0], support[-1]
+        return m * (hi - lo) + 1, log[part[lo]], log[part[hi]]
+
+    def spans(base: int, lo: int, hi: int):
+        """The image spans of alpha^t * v for t = 0 .. q - 2."""
+        return map(base.__add__, map(sub, top[hi : hi + order], low[lo : lo + order]))
+
+    def score(e_ends, f_ends, u, lam: int, w) -> None:
+        """Lower `best` to the shortest larger span over the multiples of
+        the point u + lam * w, if that is shorter and the point is
+        nondegenerate."""
+        nonlocal best
+        (span_e, lo_e, hi_e), (span_f, lo_f, hi_f) = e_ends, f_ends
+        if max(span_e + side_min[hi_e - lo_e], span_f + side_min[hi_f - lo_f]) >= best:
+            return
+        worst = min(map(max, spans(span_e, lo_e, hi_e), spans(span_f, lo_f, hi_f)))
+        if worst < best:
+            v = axpy(u, lam, w)
+            diff = (0,) * start + v[:width] + (0,) * (n - 2 * width - start) + v[width:]
+            if not in_euclidean_dual(code, diff):
+                best = worst
+
+    def end_logs(x: int, y: int) -> list[int]:
+        """log(x + alpha^s * y) for s = 0 .. q - 2 (0 where that is 0)."""
+        if not y:
+            return [log[x]] * order
+        ly = log[y]
+        return [log[x ^ exp[s + ly]] for s in range(order)]
+
+    def line(u, w) -> None:
+        """Score the points u + lam * w for lam in GF(q)."""
+        special = {0}
+        generic_spans = []
+        end_pairs = []
+        for side in (0, width):
+            support = [k for k in range(side, side + width) if u[k] or w[k]]
+            for k in (support[0], support[-1]):
+                if u[k] and w[k]:
+                    special.add(exp[log[u[k]] - log[w[k]] + order])  # cancels v_k
+                end_pairs.append((u[k], w[k]))
+            generic_spans.append(m * (support[-1] - support[0]) + 1)
+        for lam in special:
+            v = axpy(u, lam, w)
+            score(ends(v, 0), ends(v, width), u, lam, w)
+        span_e, span_f = generic_spans
+        if max(span_e, span_f) + least >= best:
+            return
+        logs = zip(exp, *(end_logs(x, y) for x, y in end_pairs))
+        for lam, lo_e, hi_e, lo_f, hi_f in logs:
+            if lam not in special:
+                score((span_e, lo_e, hi_e), (span_f, lo_f, hi_f), u, lam, w)
 
     for start in range(0, n - 2 * width + 1):
         rank_, base = _window_base_pairs(rs, start)
         if not hbar - 1 <= rank_ <= hbar and "rank-bound-violated" not in flags:
             flags.append("rank-bound-violated")
-        # the images of sum_k c_k e_k and of sum_k c_k f_k at sum_k c_k q^k
-        e_images = _xor_sums([r for e, _ in base for r in doubling_rows(e[start : start + width])])
-        f_images = _xor_sums([r for _, fv in base for r in doubling_rows(fv[n - width :])])
-        for index in range(1, len(e_images)):
-            ex = e_images[index]
-            span_e = ex.bit_length() - (ex & -ex).bit_length() + 1
-            if span_e >= best:
-                continue
-            fx = f_images[index]
-            worst = max(span_e, fx.bit_length() - (fx & -fx).bit_length() + 1)
-            if worst >= best:
-                continue
-            # the coefficients c_k are the base-q digits of the index
-            diff = (0,) * n
-            for k, (e, fv) in enumerate(base):
-                if c := index >> (k * m) & mask:
-                    diff = tuple(d ^ field.mul(c, a ^ b) for d, a, b in zip(diff, e, fv))
-            if not in_euclidean_dual(code, diff):
-                best = worst
+        if not base:
+            continue
+        first, *rest = [e[start : start + width] + fv[n - width :] for e, fv in base]
+        score(ends(first, 0), ends(first, width), first, 0, first)
+        # every other point is, scaled, rest[k] + sum_{i<k} c_i rest[i] + lam b0
+        for k, head in enumerate(rest):
+            for coeffs in product(range(order + 1), repeat=k):
+                u = head
+                for c, vec in zip(coeffs, rest):
+                    u = axpy(u, c, vec)
+                line(u, first)
 
     if best == unset:
         flags.append("bound-limited")

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
+from operator import xor
 
 import pytest
 
@@ -7,6 +8,7 @@ from qburst.galois import SelfDualBasis, field_make, self_dual_basis
 from qburst.cycliccode import contains, in_euclidean_dual, syndrome
 from qburst.qccburst import NotDualContaining, window_pairs
 from qburst.qrsburst import (
+    RsReport,
     _window_base_pairs,
     image_burst_length,
     image_expand,
@@ -296,3 +298,78 @@ def test_image_limit_matches_pair_enumeration_oracle(m, K):
     rs = rs_make(m, K)
     rep = rs_image_burst_limit(rs)
     assert _image_limit_oracle(rs, rep.L + 1) == rep.L
+
+
+class _TabledBasis:
+    """Stands in for a basis in `image_expand`: the same coordinates, looked
+    up instead of recomputed."""
+
+    def __init__(self, basis):
+        self.coordinates = [basis.coordinates(s) for s in basis.field.elements()].__getitem__
+
+
+def _full_kernel_limit(rs):
+    """`rs_image_burst_limit` by scoring every nonzero kernel vector alone.
+
+    Each window's kernel is all q^dim - 1 combinations sum_k c_k (e_k, f_k)
+    of its base pairs, combined on their windows (e is zero outside the
+    window at `start`, f outside the last `width` positions); a vector's
+    spans come from `image_burst_length` and its degeneracy from
+    `in_euclidean_dual` of the whole e - f.
+    """
+    f, n, hbar = rs.field, rs.n, rs.hbar
+    width = hbar + 1
+    basis = _TabledBasis(rs.basis)
+    flags = []
+    best = None
+    for start in range(n - 2 * width + 1):
+        rank, base = _window_base_pairs(rs, start)
+        if not hbar - 1 <= rank <= hbar and "rank-bound-violated" not in flags:
+            flags.append("rank-bound-violated")
+        # each base pair as its e window followed by its f window
+        windows = [e[start : start + width] + fv[n - width :] for e, fv in base]
+        multiples = [[tuple(f.mul(c, x) for x in w) for c in f.elements()] for w in windows]
+        for coeffs in product(f.elements(), repeat=len(base)):
+            if not any(coeffs):
+                continue
+            v = (0,) * (2 * width)
+            for c, table in zip(coeffs, multiples):
+                v = tuple(map(xor, v, table[c]))
+            worst = max(image_burst_length(v[:width], basis), image_burst_length(v[width:], basis))
+            if best is None or worst < best:
+                e = (0,) * start + v[:width] + (0,) * (n - start - width)
+                fv = (0,) * (n - width) + v[width:]
+                if not in_euclidean_dual(rs.code, tuple(map(xor, e, fv))):
+                    best = worst
+    qrb = rs_image_qrb(rs)
+    if best is None:
+        flags.append("bound-limited")
+    L = qrb if best is None else best - 1
+    return RsReport(rs.m, n, rs.K, L, rs_lower_bound(rs), qrb, tuple(flags))
+
+
+def _odd_K(m):
+    """Every K of a quantum RS code over GF(2^m): odd, 1 .. n - 4."""
+    return range(1, (1 << m) - 4, 2)
+
+
+@pytest.mark.parametrize(
+    "m,K,basis",
+    [(m, K, "pinned") for m in (3, 4, 5) for K in _odd_K(m)]
+    + [(5, K, "self_dual_basis") for K in _odd_K(5)]
+    + [(6, 53, "pinned"), (6, 55, "pinned")],  # one and two base pairs per window
+)
+def test_projective_scan_matches_full_kernel(m, K, basis):
+    field = field_make(m)
+    rs = rs_make(m, K, self_dual_basis(field) if basis == "self_dual_basis" else None)
+    assert rs_image_burst_limit(rs) == _full_kernel_limit(rs)
+
+
+def test_limit_meets_old_bound_exactly_at_few_K():
+    # L >= (hbar - 1) m + 1 everywhere; these K are where the image gains nothing
+    at_bound = {}
+    for m in (3, 4, 5, 6):
+        reports = [rs_image_burst_limit(rs_make(m, K)) for K in _odd_K(m)]
+        assert all(rep.L >= rep.lower for rep in reports)
+        at_bound[m] = tuple(rep.K for rep in reports if rep.L == rep.lower)
+    assert at_bound == {3: (), 4: (11,), 5: (19,), 6: (27, 31)}
