@@ -2,7 +2,6 @@
 with an error-trapping decoder and exact reproduction fixtures."""
 
 from .cycliccode import (
-    BurstPattern,
     CyclicCode,
     burst_length,
     code_from_generator,
@@ -30,15 +29,13 @@ from .qccburst import (
     qcc_burst_limit,
     qcc_burst_limit_css,
     qcc_burst_limit_hermitian,
-    reiger_classification,
     reiger_delta,
     window_pairs,
 )
-from .qetd import QetdState, QetdStats, burst_census, css_decode, trap_decode
+from .qetd import QetdStats, burst_census, trap_decode
 from .qrsburst import (
     RsCode,
     RsReport,
-    image_burst_length,
     image_expand,
     rs_image_burst_limit,
     rs_lower_bound,

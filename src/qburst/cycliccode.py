@@ -174,47 +174,6 @@ def css_dual_containing(c1: CyclicCode, c2: CyclicCode) -> bool:
     return (stabilizer_generator(c2) % c1.g).is_zero
 
 
-@dataclass(frozen=True)
-class BurstPattern:
-    """An error confined to consecutive positions, nonzero at both ends.
-
-    The zero burst is represented by empty coeffs (length 0).  Bursts
-    never wrap around the end of the block.
-    """
-
-    start: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.coeffs:
-            if self.coeffs[0] == 0 or self.coeffs[-1] == 0:
-                raise ValueError("burst endpoints must be nonzero")
-            if self.start < 0:
-                raise ValueError("negative start")
-        elif self.start != 0:
-            raise ValueError("zero burst is canonical with start 0")
-
-    @property
-    def length(self) -> int:
-        return len(self.coeffs)
-
-    def as_vector(self, n: int) -> tuple[int, ...]:
-        if self.start + self.length > n:
-            raise ValueError("burst does not fit (wrap-around is not allowed)")
-        v = [0] * n
-        for i, c in enumerate(self.coeffs):
-            v[self.start + i] = c
-        return tuple(v)
-
-    @staticmethod
-    def from_vector(v) -> BurstPattern:
-        support = [i for i, c in enumerate(v) if c]
-        if not support:
-            return BurstPattern(0, ())
-        lo, hi = support[0], support[-1]
-        return BurstPattern(lo, tuple(v[lo : hi + 1]))
-
-
 def burst_length(v) -> int:
     """Span between first and last nonzero entries (0 for the zero vector)."""
     support = [i for i, c in enumerate(v) if c]

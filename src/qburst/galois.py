@@ -123,13 +123,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of 0")
         return self._exp[(self.q - 1) - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by 0")
-        if a == 0:
-            return 0
-        return self._exp[self._log[a] - self._log[b] + (self.q - 1)]
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -229,10 +222,6 @@ class SelfDualBasis:
             gram[i][j] != (i == j) for i in range(m) for j in range(m)
         ):
             raise ValueError(f"{self.elements} is not a self-dual basis of GF(2^{m})")
-
-    @property
-    def m(self) -> int:
-        return self.field.m
 
     def gram(self) -> list[list[int]]:
         return [

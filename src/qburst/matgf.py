@@ -45,22 +45,6 @@ class MatrixGF:
                 field.check(v)
         return MatrixGF(field, len(data), ncols, data)
 
-    @staticmethod
-    def zeros(field: FieldSpec, rows: int, cols: int) -> MatrixGF:
-        return MatrixGF(field, rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @staticmethod
-    def identity(field: FieldSpec, n: int) -> MatrixGF:
-        return MatrixGF(
-            field, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
-
-    def entry(self, i: int, j: int) -> int:
-        return self.data[i][j]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.data)
-
     def submatrix(self, row_stop: int, col_start: int, col_stop: int) -> MatrixGF:
         data = tuple(row[col_start:col_stop] for row in self.data[:row_stop])
         return MatrixGF(self.field, row_stop, col_stop - col_start, data)
@@ -94,19 +78,6 @@ class MatrixGF:
                 out_row.append(acc)
             out.append(tuple(out_row))
         return MatrixGF(f, self.rows, other.cols, tuple(out))
-
-    def matvec(self, vec) -> tuple[int, ...]:
-        f = self.field
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        for row in self.data:
-            acc = 0
-            for a, b in zip(row, vec):
-                if a and b:
-                    acc ^= f.mul(a, b)
-            out.append(acc)
-        return tuple(out)
 
     @property
     def is_zero(self) -> bool:

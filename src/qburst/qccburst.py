@@ -128,14 +128,6 @@ def reiger_delta(n: int, K: int, L: int) -> int:
     return n - K - 4 * L
 
 
-def reiger_classification(delta: int) -> str | None:
-    if delta == 0:
-        return "optimal"
-    if delta in (1, 2):
-        return "nearly optimal"
-    return None
-
-
 def _components(codes, construction: str):
     """Check a quantum construction and return (K, sweeps).
 

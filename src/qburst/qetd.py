@@ -32,26 +32,18 @@ from .polyring import Polynomial
 from .qccburst import _components
 
 # ---------------------------------------------------------------------------
-# Trap search and decoding (public, polynomial-level API)
+# The polynomial-level decoder: the oracle that the decoder-invariant
+# acceptance test and the census tests check the packed census against
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QetdState:
-    """Outcome of the trap search over all n cyclic shifts of a syndrome."""
-
-    S: Polynomial
-    z: int  # shortest trapped burst length
-    s: int  # longest run of empty high stages, r - z
-    v: int  # shift index achieving the trap
-
-
-def _trap_search(S: Polynomial, code: CyclicCode) -> QetdState:
+def _trap_search(S: Polynomial, code: CyclicCode) -> tuple[int, int]:
     """Find the shift putting the shortest burst flush with the top stage.
 
     A shift counts only when the top register stage (coefficient of
     x^(r-1)) is occupied; the trapped length is then r minus the number
-    of empty low stages.  Ties keep the smallest shift index.
+    of empty low stages.  Returns (z, v): the shortest trapped length and
+    the shift that traps it.  Ties keep the smallest shift index.
     """
     g = code.g
     f = code.field
@@ -70,7 +62,7 @@ def _trap_search(S: Polynomial, code: CyclicCode) -> QetdState:
                 best_z, best_v = z, i
     if best_z is None:
         raise AssertionError("nonzero syndrome never reached the top stage")
-    return QetdState(S, best_z, r - best_z, best_v)
+    return best_z, best_v
 
 
 def trap_decode(S: Polynomial, code: CyclicCode) -> tuple[int, ...]:
@@ -86,26 +78,13 @@ def trap_decode(S: Polynomial, code: CyclicCode) -> tuple[int, ...]:
         raise ValueError(f"syndrome degree must be below r={code.r}")
     if S.is_zero:
         return (0,) * n
-    state = _trap_search(S, code)
-    trapped = (Polynomial.x_pow(code.field, state.v) * S) % code.g
+    _, v = _trap_search(S, code)
+    trapped = (Polynomial.x_pow(code.field, v) * S) % code.g
     out = [0] * n
     for j, c in enumerate(trapped.coeffs):
         if c:
-            out[(j + n - state.v) % n] = c
+            out[(j + n - v) % n] = c
     return tuple(out)
-
-
-def css_decode(
-    S_X: Polynomial,
-    S_Z: Polynomial,
-    c1: CyclicCode,
-    c2: CyclicCode,
-) -> tuple[int, ...]:
-    """Decode bit-flip and phase-flip syndromes separately and recombine
-    into one quaternary pattern (bit 0 = X component, bit 1 = Z)."""
-    ex = trap_decode(S_X, c1)
-    ez = trap_decode(S_Z, c2)
-    return tuple(x | (z << 1) for x, z in zip(ex, ez))
 
 
 # ---------------------------------------------------------------------------

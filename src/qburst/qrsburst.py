@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 from operator import sub
 
-from .cycliccode import CyclicCode, burst_length, code_from_generator, in_euclidean_dual
+from .cycliccode import CyclicCode, code_from_generator, in_euclidean_dual
 from .galois import FieldSpec, SelfDualBasis, field_make, self_dual_basis
 from .matgf import row_reduce  # noqa: F401  perfbench's tracer patches this binding
 from .polyring import Polynomial
@@ -115,11 +115,6 @@ def image_expand(v, basis: SelfDualBasis) -> tuple[int, ...]:
     for symbol in v:
         out.extend(basis.coordinates(symbol))
     return tuple(out)
-
-
-def image_burst_length(v, basis: SelfDualBasis) -> int:
-    """Burst length of the binary image (0 for the zero vector)."""
-    return burst_length(image_expand(v, basis))
 
 
 @dataclass(frozen=True)

@@ -288,7 +288,7 @@ def verify_tables(directory: Path | None = None, include_slow: bool = False):
 
 def _cmd_burst_limit(args) -> int:
     construction = CONSTRUCTIONS[args.field]
-    gens = [args.gen, args.gen2] if args.gen2 else [args.gen]
+    gens = [args.gen] if args.gen2 is None else [args.gen, args.gen2]
     report = qcc_burst_limit(_codes(args.n, gens, construction), construction)
     print(json.dumps(report_as_dict(report), sort_keys=True))
     return 0

@@ -4,10 +4,9 @@ from itertools import product
 import pytest
 
 from qburst.galois import GF2, GF4, OMEGA
-from qburst.matgf import product_is_zero, rank
+from qburst.matgf import MatrixGF, product_is_zero, rank
 from qburst.polyring import Polynomial, divisor_generators
 from qburst.cycliccode import (
-    BurstPattern,
     CyclicCode,
     burst_length,
     code_from_generator,
@@ -55,12 +54,12 @@ def test_structural_invariants():
         assert rank(code.G) == code.k
         assert rank(code.H) == code.r
         # trailing square block of H is lower triangular with nonzero diagonal
-        last = code.H.column(code.n - 1)
+        last = tuple(row[-1] for row in code.H.data)
         assert all(v == 0 for v in last[:-1]) and last[-1] != 0
         for i in range(code.r):
-            assert code.H.entry(i, code.n - code.r + i) != 0
+            assert code.H.data[i][code.n - code.r + i] != 0
             for j in range(i + 1, code.r):
-                assert code.H.entry(i, code.n - code.r + j) == 0
+                assert code.H.data[i][code.n - code.r + j] == 0
 
 
 def test_syndrome_examples():
@@ -78,8 +77,7 @@ def test_syndrome_vanishes_exactly_on_kernel_of_H():
     for code in (HAMMING, QUAD5):
         for _ in range(1000):
             v = tuple(rng.randrange(code.field.q) for _ in range(code.n))
-            via_h = code.H.matvec(v)
-            zero_h = all(x == 0 for x in via_h)
+            zero_h = product_is_zero(code.H, MatrixGF.make(code.field, [[x] for x in v]))
             zero_s = all(x == 0 for x in syndrome(code, v))
             assert zero_h == zero_s == contains(code, v)
 
@@ -273,14 +271,6 @@ def test_shortened_check_matrix():
 
 
 def test_burst_pattern():
-    b = BurstPattern(2, (1, 0, 3))
-    assert b.length == 3
-    assert b.as_vector(6) == (0, 0, 1, 0, 3, 0)
-    assert BurstPattern.from_vector((0, 0, 1, 0, 3, 0)) == b
-    assert BurstPattern(0, ()).as_vector(4) == (0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        BurstPattern(0, (0, 1))
-    with pytest.raises(ValueError):
-        BurstPattern(4, (1, 1)).as_vector(5)
+    assert burst_length((0, 0, 1, 0, 3, 0)) == 3
     assert burst_length((0, 1, 0, 2, 0)) == 3
     assert burst_length((0,) * 5) == 0

@@ -60,8 +60,6 @@ def test_inverse_law_all_elements():
             assert f.mul(a, f.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         GF4.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        GF4.div(1, 0)
 
 
 def test_field_axioms_bulk():

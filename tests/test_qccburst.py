@@ -16,7 +16,6 @@ from qburst.qccburst import (
     qcc_burst_limit,
     qcc_burst_limit_css,
     qcc_burst_limit_hermitian,
-    reiger_classification,
     reiger_delta,
     window_pairs,
 )
@@ -61,7 +60,7 @@ def test_build_window_matches_check_polynomial():
     for i in range(block.rows):
         for j in range(3):
             expected = hc[k - (j - i)] if 0 <= j - i <= k else 0
-            assert block.entry(i, j) == expected
+            assert block.data[i][j] == expected
 
 
 def test_single_column_windows():
@@ -162,10 +161,6 @@ def test_reiger_delta():
     assert reiger_delta(15, 3, 3) == 0
     assert reiger_delta(21, 9, 3) == 0  # the arithmetic, independent of any table
     assert reiger_delta(10, 4, 0) == 6
-    assert reiger_classification(0) == "optimal"
-    assert reiger_classification(1) == "nearly optimal"
-    assert reiger_classification(2) == "nearly optimal"
-    assert reiger_classification(3) is None
 
 
 def test_brute_force_guard():

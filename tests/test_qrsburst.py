@@ -5,12 +5,11 @@ from operator import xor
 import pytest
 
 from qburst.galois import SelfDualBasis, field_make, self_dual_basis
-from qburst.cycliccode import contains, in_euclidean_dual, syndrome
+from qburst.cycliccode import burst_length, contains, in_euclidean_dual, syndrome
 from qburst.qccburst import NotDualContaining, window_pairs
 from qburst.qrsburst import (
     RsReport,
     _window_base_pairs,
-    image_burst_length,
     image_expand,
     reference_self_dual_basis,
     rs_image_burst_limit,
@@ -109,12 +108,12 @@ def test_image_dual_preservation():
 def test_image_burst_length():
     rs = rs_make(3, 3)
     basis = rs.basis
-    assert image_burst_length((0,) * rs.n, basis) == 0
+    assert burst_length(image_expand((0,) * rs.n, basis)) == 0
     for val in range(1, rs.field.q):
         v = (0, val) + (0,) * (rs.n - 2)
-        assert 1 <= image_burst_length(v, basis) <= rs.m
+        assert 1 <= burst_length(image_expand(v, basis)) <= rs.m
     v = (0, 1, 1) + (0,) * (rs.n - 3)
-    assert 2 <= image_burst_length(v, basis) <= 2 * rs.m
+    assert 2 <= burst_length(image_expand(v, basis)) <= 2 * rs.m
 
 
 def test_lower_bound_examples():
@@ -156,7 +155,7 @@ def test_window_pair_sets():
     limit = rs_image_burst_limit(rs).L
     for e, fv in boxtimes:
         if not in_euclidean_dual(rs.code, tuple(a ^ b for a, b in zip(e, fv))):
-            spans = image_burst_length(e, rs.basis), image_burst_length(fv, rs.basis)
+            spans = burst_length(image_expand(e, rs.basis)), burst_length(image_expand(fv, rs.basis))
             assert max(spans) > limit
 
 
@@ -314,7 +313,7 @@ def _full_kernel_limit(rs):
     Each window's kernel is all q^dim - 1 combinations sum_k c_k (e_k, f_k)
     of its base pairs, combined on their windows (e is zero outside the
     window at `start`, f outside the last `width` positions); a vector's
-    spans come from `image_burst_length` and its degeneracy from
+    spans are the `burst_length` of its `image_expand` and its degeneracy is
     `in_euclidean_dual` of the whole e - f.
     """
     f, n, hbar = rs.field, rs.n, rs.hbar
@@ -335,7 +334,10 @@ def _full_kernel_limit(rs):
             v = (0,) * (2 * width)
             for c, table in zip(coeffs, multiples):
                 v = tuple(map(xor, v, table[c]))
-            worst = max(image_burst_length(v[:width], basis), image_burst_length(v[width:], basis))
+            worst = max(
+                burst_length(image_expand(v[:width], basis)),
+                burst_length(image_expand(v[width:], basis)),
+            )
             if best is None or worst < best:
                 e = (0,) * start + v[:width] + (0,) * (n - start - width)
                 fv = (0,) * (n - width) + v[width:]

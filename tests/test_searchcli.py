@@ -418,6 +418,8 @@ def test_cli_search_lengths_with_high_degree_factors(capsys):
         ["qetd-sim", "--n", "7", "--field", "gf2", "--gen", "(1^3 1^1 1^0)", "--lmax", "9"],
         ["burst-limit", "--n", "7", "--field", "gf4", "--gen", "(1^0)"],  # r = 0
         ["burst-limit", "--n", "7", "--field", "gf2", "--gen", "(1^3 1^1 1^0)", "--gen2", "(1^0)"],
+        # an empty second generator is malformed, not left out
+        ["burst-limit", "--n", "7", "--field", "gf2", "--gen", "(1^3 1^1 1^0)", "--gen2", ""],
         ["burst-limit", "--n", "5", "--field", "gf4", "--gen", "(1^2 2^1 1^0)",
          "--gen2", "(1^2 2^1 1^0)"],  # Hermitian takes one generator
     ],
