@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from operator import add
 
 import pytest
 
@@ -10,13 +11,15 @@ from qburst.cycliccode import (
     burst_count,
     code_from_generator,
     contains,
+    dual_containing_generators,
     stabilizer_generator,
     syndrome,
     vector_poly,
 )
-from qburst.qccburst import NotDualContaining, degeneracy_check, qcc_burst_limit
+from qburst.qccburst import NotDualContaining, _components, degeneracy_check, qcc_burst_limit
 from qburst.qetd import (
     QetdStats,
+    _PackedDecoder,
     _position_syndrome_tables,
     burst_census,
     trap_decode,
@@ -350,13 +353,47 @@ def test_census_matches_polynomial_oracle():
             for g in divisor_generators(n, field, (1, n - 1)):
                 code = code_from_generator(n, g)
                 try:
-                    stats = burst_census(code, construction, lmax=None if n <= 9 else 3)
+                    stats = burst_census(code, construction)
                 except NotDualContaining:
                     continue
                 got = (stats.total, stats.exact, stats.decoded)
                 assert got == _census_oracle(code, stats.lmax), (code, construction)
                 checked += 1
     assert checked == 8
+
+
+def _x_order(code):
+    """The least m >= 1 with x^m = 1 modulo g."""
+    one = Polynomial.x_pow(code.field, 0)
+    return next(m for m in range(1, code.n + 1) if Polynomial.x_pow(code.field, m) % code.g == one)
+
+
+def test_orbit_census_matches_per_pattern_walk():
+    # the orbit walk against the per-pattern walk that lengths above r take,
+    # driven here at lengths up to r: every dual-containing code of both
+    # fields with odd n <= 21 and r <= 8, at every lmax 1..r (the twelve
+    # r = 9 codes of n = 21 would add about 10 s).  A code whose x-order is
+    # below n meets each pattern more than once per walk, and an orbit with
+    # several ties counts its patterns' starts by interval
+    short_order = multi_tie = False
+    rows = 0
+    for field, construction in ((GF4, "hermitian"), (GF2, "css")):
+        for n in range(3, 22, 2):
+            for g in dual_containing_generators(n, field):
+                _, ((code, dual_of),) = _components(code_from_generator(n, g), construction)
+                if code.r > 8:
+                    continue
+                decoder = _PackedDecoder(code, dual_of)
+                singles = (0, 0, 0)
+                for lmax in range(1, code.r + 1):
+                    singles = tuple(map(add, singles, decoder.tally(decoder.singles([lmax]))))
+                    orbits = list(decoder.orbits(lmax))
+                    multi_tie |= any(len(ties) > 1 for ties, _ in orbits)
+                    assert decoder.tally(orbits) == singles, (code, construction, lmax)
+                    rows += 1
+                short_order |= _x_order(code) < n
+    assert short_order and multi_tie
+    assert rows == 300
 
 
 def test_census_codeword_bursts_match_oracle():
