@@ -6,22 +6,29 @@ returns K with one sweep (code, dual_of) per distinct classical
 component.  Below it, with s = `stabilizer_generator(dual_of)`, one rule
 holds: admissible iff g | s, and e, f harmlessly confused iff s | e - f.
 
-The degenerate limit L of a component is found by sweeping window
-lengths ell = 1, 2, ...: the code corrects all quantum bursts of length
-ell provided every ell-column window of the ell-shortened check matrix
-has full rank, or every dependency pair arising from a rank-deficient
-window is degenerate (s divides the difference of its two members).
-The sweep stops at the first ell admitting a nondegenerate pair; the
-quantum Reiger bound caps the sweep at floor(r/2).  A single-error
-collision x^i = lam x^j (mod g) is, after a cyclic shift, a width-1
-window pair, and degeneracy is shift-invariant, so the ell = 1 windows
-(run even when the cap is 0) find every such collision.
+The limits of a component come from one row reduction per shift.  A
+window pair of width w at start s is e = x^s a and f = x^(n-w) b with
+deg a, deg b < w, and e, f have equal syndromes iff x^T a = b (mod g),
+where T = s + w: the window depends on its shift T alone.  So window
+(T, w) is rank deficient iff d(T) < w, where d(T) is the least
+max(deg a, deg b) over the nonzero pairs of the shift (the shift-register
+view of Matt and Massey, "Determining the burst-correcting limit of
+cyclic codes", IEEE TIT 26(3), 1980).  `_shortest_pair` finds d(T) and
+its minimal pair from one reduction of the columns x^(T+i) mod g and the
+unit vectors, interleaved by degree.  Below r/2 every pair of the shift
+is a polynomial multiple of the minimal one, and the stabilizers form an
+ideal, so that one pair decides every width at T: it is degenerate iff s
+divides e - f.
 
-The nondegenerate limit ell0 is tracked in the same sweep as the last
-length before any rank-deficient window appears at all.  `window_pairs`
-is the one window kernel: the classical limit (every window of full
-rank) and the binary-image limit of quantum Reed-Solomon codes
-(`qrsburst`, at width hbar + 1) use it too.
+L is then the least d(T) over the shifts with a nondegenerate minimal
+pair, and ell0 the least d(T) over all shifts, each capped at floor(r/2)
+by the quantum Reiger bound; the classical limit is ell0 without the
+degeneracy test.  A single-error collision x^i = lam x^j (mod g) is a
+pair with d(T) = 0, so the sweep looks for one even when the cap is 0.
+
+`window_pairs` keeps the window row reduction itself: the binary-image
+limit of quantum Reed-Solomon codes (`qrsburst`, at width hbar + 1, above
+r/2) uses it, and the tests check the shift kernel against it.
 
 An exhaustive pair enumeration over canonical burst patterns provides an
 independent oracle for small lengths.
@@ -41,7 +48,7 @@ from .cycliccode import (
     syndrome,
     vector_poly,
 )
-from .matgf import row_reduce
+from .matgf import MatrixGF, row_reduce
 from .polyring import Polynomial
 
 
@@ -80,20 +87,59 @@ def window_pairs(code: CyclicCode, width: int, start: int):
     return reduced.rank, tuple(pairs)
 
 
-def _deficient_windows(code: CyclicCode):
-    """(width, pairs) of every rank-deficient window, by width 1 .. r // 2
-    (width 1 even when r // 2 is 0) and then by start."""
-    for width in range(1, max(code.r // 2, 1) + 1) if code.r else ():
-        for start in range(code.n - 2 * width + 1):
-            rank, pairs = window_pairs(code, width, start)
-            if rank < width:
-                yield width, pairs
+def _power_rows(code: CyclicCode) -> list[tuple[int, ...]]:
+    """Row k holds digit k of x^j mod g for j < n.  The powers come by
+    packed shift-and-reduce: each is the one before shifted up a digit, its
+    digit r cancelled by a multiple of the monic g."""
+    m, mask, r = code.field.m, code.field.q - 1, code.r
+    gmul = [code.g.scale(c).bits for c in code.field.elements()]
+    powers, reg = [], 1
+    for _ in range(code.n):
+        powers.append([(reg >> (i * m)) & mask for i in range(r)])
+        reg <<= m
+        reg ^= gmul[reg >> (r * m)]
+    return list(zip(*powers))
+
+
+def _shortest_pair(code: CyclicCode, power_rows, shift: int, width: int):
+    """(d, e, f) for the shift T = `shift`, or None when d(T) >= `width`.
+
+    d(T) is the least max(deg a, deg b) over the nonzero pairs with
+    x^T a = b (mod g).  One row reduction of the r x 2*width matrix with
+    columns x^(T+i) mod g and the unit vector u_i, interleaved by degree i,
+    finds it: its first free column p gives d = p // 2, and the column's
+    combination is the minimal pair (a, b).  With e = x^(T-d-1) a and
+    f = x^(n-d-1) b, e lies in the window of width d + 1 at start T-d-1
+    and f in the last d + 1 positions, and the two have equal syndromes.
+    """
+    r, n = code.r, code.n
+    rows = []
+    for k, digits in enumerate(power_rows):
+        row = [0] * (2 * width)
+        row[0::2] = digits[shift:shift + width]
+        if k < width:
+            row[2 * k + 1] = 1
+        rows.append(tuple(row))
+    reduced = row_reduce(MatrixGF(code.field, r, 2 * width, tuple(rows)))
+    if not reduced.free_cols:
+        return None
+    free_col = reduced.free_cols[0]
+    d = free_col // 2
+    pair = [0] * (2 * d + 2)
+    pair[free_col] = 1
+    for coeff, pivot_col in zip(reduced.combination[free_col], reduced.pivot_cols):
+        if pivot_col < free_col:  # the later pivots carry 0
+            pair[pivot_col] = coeff
+    e = (0,) * (shift - d - 1) + tuple(pair[0::2]) + (0,) * (n - shift)
+    f = (0,) * (n - d - 1) + tuple(pair[1::2])
+    return d, e, f
 
 
 def classical_burst_limit(code: CyclicCode) -> int:
     """Largest b such that every b consecutive columns of the b-shortened
-    check matrix are linearly independent; 0 when single errors collide."""
-    return next((width - 1 for width, _ in _deficient_windows(code)), code.r // 2)
+    check matrix are linearly independent; 0 when single errors collide.
+    It is the sweep's ell0 with no degeneracy test, where L equals ell0."""
+    return _component_sweep(code, None)[0]
 
 
 def degeneracy_check(code: CyclicCode, e, f, *, dual_of: CyclicCode | None = None) -> bool:
@@ -156,20 +202,36 @@ def _components(codes, construction: str):
     return K, sweeps
 
 
-def _component_sweep(code: CyclicCode, dual_of: CyclicCode):
+def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None):
     """One sweep of the limit algorithm against a single classical code.
 
-    Returns (L, ell0, flags): L is the first length admitting a
-    nondegenerate pair minus one (or the Reiger cap), ell0 likewise for
-    any rank deficiency at all.
+    Returns (L, ell0, flags): L is the least d(T) over the shifts whose
+    minimal pair is nondegenerate (or the Reiger cap, flagged), ell0 the
+    least d(T) over all shifts.  With `dual_of` None every pair counts as
+    nondegenerate, and L is the classical limit.
+
+    Each shift T = 1 .. n - 1 is reduced once, at width
+    min(T, n - T, limit), where the limit is the best L so far (1 while
+    the cap is 0, so that single-error collisions are still found): only
+    a d(T) below it can lower L, or lower ell0 below L.
     """
-    cap = ell0 = code.r // 2
-    for ell, pairs in _deficient_windows(code):
-        ell0 = min(ell0, ell - 1)  # widths rise, so the first one sets it
-        for e, fvec in pairs:
-            if not degeneracy_check(code, e, fvec, dual_of=dual_of):
-                return ell - 1, ell0, ()
-    return cap, ell0, ("cap-limited",)
+    n = code.n
+    L = ell0 = code.r // 2
+    limit = max(L, 1)
+    flags = ("cap-limited",)
+    power_rows = _power_rows(code)
+    for shift in range(1, n):
+        if not limit:
+            break
+        found = _shortest_pair(code, power_rows, shift, min(shift, n - shift, limit))
+        if found is None:
+            continue
+        d, e, f = found
+        ell0 = min(ell0, d)
+        if dual_of is None or not degeneracy_check(code, e, f, dual_of=dual_of):
+            L = limit = d
+            flags = ()
+    return L, ell0, flags
 
 
 def qcc_burst_limit(codes, construction: str) -> QccReport:

@@ -7,7 +7,7 @@ strictly decreasing and ending at 0.
 
 The search builds each length's dual-containing generators from partner
 pairs of the factors of x^n - 1, checks each code's construction, and
-emits reports sorted canonically.  The window sweep runs once per orbit
+emits reports sorted canonically.  The burst-limit sweep runs once per orbit
 under reversing positions and conjugating digits (`cycliccode._orbit_key`):
 both maps keep burst lengths and commute with the partner map that fixes
 the stabilizer, so every member shares K and the limits of the first.

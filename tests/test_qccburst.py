@@ -6,10 +6,15 @@ from qburst.cycliccode import (
     burst_length,
     code_from_generator,
     contains,
+    dual_containing_generators,
     syndrome,
 )
+from qburst import qccburst
 from qburst.qccburst import (
     NotDualContaining,
+    _components,
+    _power_rows,
+    _shortest_pair,
     brute_force_limit,
     classical_burst_limit,
     degeneracy_check,
@@ -19,7 +24,7 @@ from qburst.qccburst import (
     reiger_delta,
     window_pairs,
 )
-from qburst.searchcli import parse_generator
+from qburst.searchcli import fixtures_dir, parse_generator
 
 
 def make4(n, text):
@@ -229,3 +234,131 @@ def test_css_pair_limits_agree_with_oracle():
     assert brute_force_limit((c1, c2), "css") == (rep.L, rep.ell0)
     assert rep.construction == "css"
     assert len(rep.generators) == 2
+
+
+# ---------------------------------------------------------------------------
+# The shift kernel against window row reduction
+# ---------------------------------------------------------------------------
+
+CSS21 = (make2(21, "(1^6 1^4 1^1 1^0)"), make2(21, "(1^6 1^4 1^2 1^1 1^0)"))
+KERNEL_SAMPLE = [
+    (QUAD5, "hermitian"),
+    (CODE15, "hermitian"),
+    (CODE25, "hermitian"),
+    (make4(21, "(1^9 1^3 1^0)"), "hermitian"),
+    (make2(15, "(1^4 1^3 1^0)"), "css"),
+    (make2(31, "(1^10 1^9 1^7 1^1 1^0)"), "css"),
+    (make2(31, "(1^15 1^13 1^12 1^11 1^9 1^7 1^5 1^4 1^3 1^1 1^0)"), "css"),
+    (CSS21, "css"),
+]
+
+
+def test_shift_kernel_matches_window_rank_at_every_width():
+    # window (start T - w, width w) is rank deficient iff d(T) < w, at every
+    # width 1 .. min(T, n - T, r); and up to r // 2 a window holds a
+    # nondegenerate pair iff the minimal pair of its shift is nondegenerate
+    deficient = harmless_seen = 0
+    for codes, construction in KERNEL_SAMPLE:
+        for code, dual_of in _components(codes, construction)[1]:
+            n, r = code.n, code.r
+            power_rows = _power_rows(code)
+            for shift in range(1, n):
+                top = min(shift, n - shift, r)
+                found = _shortest_pair(code, power_rows, shift, top)
+                d = top if found is None else found[0]
+                for width in range(1, top + 1):
+                    rank, _ = window_pairs(code, width, shift - width)
+                    assert (rank < width) == (d < width), (code, shift, width)
+                if found is None:
+                    continue
+                d, e, f = found
+                deficient += 1
+                assert syndrome(code, e) == syndrome(code, f)
+                assert e != f and burst_length(e) <= d + 1 and burst_length(f) <= d + 1
+                assert all(c == 0 for i, c in enumerate(e) if not shift - d - 1 <= i < shift)
+                assert all(c == 0 for i, c in enumerate(f) if i < n - d - 1)
+                harmless = degeneracy_check(code, e, f, dual_of=dual_of)
+                harmless_seen += harmless
+                for width in range(d + 1, min(shift, n - shift, r // 2) + 1):
+                    _, pairs = window_pairs(code, width, shift - width)
+                    nondegenerate = any(
+                        not degeneracy_check(code, e2, f2, dual_of=dual_of) for e2, f2 in pairs
+                    )
+                    assert nondegenerate == (not harmless), (code, shift, width)
+    assert deficient > 100 and harmless_seen > 0
+
+
+def _width_sweep(code, dual_of):
+    """The width-ascending sweep that the shift kernel replaced: every
+    window of width 1 .. r // 2 (width 1 even when r // 2 is 0), start by
+    start, judged pair by pair; returns (L, ell0, flags, classical limit)."""
+    cap = ell0 = code.r // 2
+    classical = None
+    for width in range(1, max(cap, 1) + 1):
+        for start in range(code.n - 2 * width + 1):
+            rank, pairs = window_pairs(code, width, start)
+            if rank == width:
+                continue
+            ell0 = min(ell0, width - 1)
+            classical = ell0 if classical is None else classical
+            for e, f in pairs:
+                if not degeneracy_check(code, e, f, dual_of=dual_of):
+                    return width - 1, ell0, (), classical
+    return cap, ell0, ("cap-limited",), cap if classical is None else classical
+
+
+def _fixture_css_codes():
+    """The CSS rows of tables 1 and 2 whose generators build codes."""
+    for table in ("table1.tsv", "table2.tsv"):
+        for line in (fixtures_dir() / table).read_text().splitlines():
+            fields = line.split("\t")
+            if line.startswith("#") or fields[0] != "css":
+                continue
+            n = int(fields[1].strip("[]").split(",")[0])
+            try:
+                yield tuple(make2(n, text) for text in fields[-2].split(";"))
+            except ValueError:  # a misprinted generator (flagged in the fixture)
+                continue
+
+
+def _sweep_oracle_codes():
+    for field, construction in ((GF4, "hermitian"), (GF2, "css")):
+        for n in range(3, 32, 2):
+            for g in dual_containing_generators(n, field):
+                yield code_from_generator(n, g), construction
+    for pair in R1_PAIRS:
+        yield pair, "css"
+    for codes in _fixture_css_codes():
+        yield codes, "css"
+
+
+def test_limits_match_width_sweep():
+    checked = fixture_rows = 0
+    for codes, construction in _sweep_oracle_codes():
+        try:
+            _, sweeps = _components(codes, construction)
+        except NotDualContaining:
+            continue
+        old = [_width_sweep(*sweep) for sweep in sweeps]
+        rep = qcc_burst_limit(codes, construction)
+        assert (rep.L, rep.ell0, rep.flags) == (
+            min(o[0] for o in old),
+            min(o[1] for o in old),
+            tuple(sorted(set.intersection(*(set(o[2]) for o in old)))),
+        ), codes
+        for (code, _), o in zip(sweeps, old):
+            assert classical_burst_limit(code) == o[3], code
+        checked += 1
+        fixture_rows += isinstance(codes, tuple) and codes[0].n > 21
+    assert checked > 140 and fixture_rows >= 5
+
+
+def test_one_row_reduction_per_shift(monkeypatch):
+    calls = []
+    reduce_ = qccburst.row_reduce
+    monkeypatch.setattr(qccburst, "row_reduce", lambda m: calls.append(m) or reduce_(m))
+    for code in (CODE25, make4(45, "(1^18 2^9 1^0)")):
+        calls.clear()
+        qcc_burst_limit_hermitian(code)
+        assert 0 < len(calls) <= code.n - 1
+        assert all(m.rows == code.r and m.cols <= code.r for m in calls)

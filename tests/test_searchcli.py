@@ -84,7 +84,7 @@ def test_search_includes_known_codes():
 def test_search_builds_only_admissible_codes(monkeypatch):
     # n = 45 over GF(4) has 32,766 divisors with 1 <= deg g < 45; only the
     # 3^5 - 1 = 242 admissible ones are built, and none is rejected.  They
-    # fall into 69 reversal/conjugation orbits, one window sweep each.
+    # fall into 69 reversal/conjugation orbits, one limit sweep each.
     built, rejected, swept = [], [], []
     original = qburst.searchcli.code_from_generator
     monkeypatch.setattr(
