@@ -184,6 +184,16 @@ class FieldSpec:
         return f"FieldSpec(m={self.m}, modulus={self.modulus:#x})"
 
 
+def _times(doublings: list[int], c: int) -> int:
+    """c times a packed vector, given its doublings (FieldSpec.doublings)."""
+    out = 0
+    for x_j in doublings:
+        if c & 1:
+            out ^= x_j
+        c >>= 1
+    return out
+
+
 def _xor_sums(rows) -> list[int]:
     """The XOR of one entry of each row, for every choice of entries; the
     choice in the first row varies fastest."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import lshift
 
-from .galois import FieldSpec
+from .galois import FieldSpec, _times
 
 
 @dataclass(frozen=True)
@@ -101,16 +101,6 @@ class ReducedForm:
     pivot_cols: tuple[int, ...]
     free_cols: tuple[int, ...]
     combination: dict[int, tuple[int, ...]]
-
-
-def _times(doublings: list[int], c: int) -> int:
-    """c times a packed vector, given its doublings (FieldSpec.doublings)."""
-    out = 0
-    for x_j in doublings:
-        if c & 1:
-            out ^= x_j
-        c >>= 1
-    return out
 
 
 def row_reduce(m: MatrixGF) -> ReducedForm:

@@ -1,10 +1,11 @@
 """Polynomials over GF(2^m), cyclotomic cosets, and divisors of x^n - 1.
 
 A polynomial is one int holding coefficient i in bits i*m .. i*m + m - 1,
-so addition is XOR.  A product, a scaling or a long division XORs shifted
-scalar multiples c * p of one operand; each polynomial computes its q
-multiples once, for all of its coefficients at a time, from the doublings
-x^j * p of `FieldSpec.doublings`, and keeps them.
+so addition is XOR.  A product or a long division XORs shifted scalar
+multiples c * p of one operand; each polynomial computes its q multiples
+once, for all of its coefficients at a time, from the doublings x^j * p
+of `FieldSpec.doublings`, and keeps them.  A scaling by one c XORs the
+doublings at the set bits of c, so it never builds the q multiples.
 
 x^n - 1 (n coprime to q) is factored over the base field itself by
 Berlekamp splitting.  The coset sums b_C = sum_{j in C} x^j, one per
@@ -24,7 +25,7 @@ from itertools import product
 from math import gcd, prod
 from typing import Iterator
 
-from .galois import FieldSpec, _xor_sums
+from .galois import FieldSpec, _times, _xor_sums
 
 
 @dataclass(frozen=True)
@@ -99,10 +100,15 @@ class Polynomial:
         return tuple((self.bits >> (i * m)) & mask for i in range(self.degree + 1))
 
     @cached_property
+    def _doublings(self) -> list[int]:
+        """The packed x^j * self, j = 0 .. m-1 (`FieldSpec.doublings`)."""
+        return self.field.doublings(self.bits)
+
+    @cached_property
     def _multiples(self) -> list[int]:
         """Packed c * self at index c, for every element c of the field:
         the XOR of the doublings x^j * self over the set bits j of c."""
-        return _xor_sums([(0, p) for p in self.field.doublings(self.bits)])
+        return _xor_sums([(0, p) for p in self._doublings])
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -130,7 +136,9 @@ class Polynomial:
         return Polynomial(self.field, out)
 
     def scale(self, c: int) -> Polynomial:
-        return Polynomial(self.field, self._multiples[c])
+        # from the m doublings, not the q multiples: over GF(2^16) the table
+        # of a long polynomial would not fit in memory
+        return Polynomial(self.field, _times(self._doublings, c))
 
     def __divmod__(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
         self._same_field(other)

@@ -26,6 +26,13 @@ by the quantum Reiger bound; the classical limit is ell0 without the
 degeneracy test.  A single-error collision x^i = lam x^j (mod g) is a
 pair with d(T) = 0, so the sweep looks for one even when the cap is 0.
 
+Shifts T and n - T mirror each other.  g divides x^n - 1, so x^T a = b
+(mod g) implies x^(n-T) b = a (mod g): the pairs of shift n - T are
+those of T with a and b swapped, and d(n - T) = d(T).  The mirrored
+pair's e' - f' is x^(n-T) (f - e) mod x^n - 1, and s divides x^n - 1,
+so s divides one iff it divides the other.  The sweep therefore reduces
+only the shifts T = 1 .. n // 2 (T = n/2, at even n, is its own mirror).
+
 `window_pairs` keeps the window row reduction itself: the binary-image
 limit of quantum Reed-Solomon codes (`qrsburst`, at width hbar + 1, above
 r/2) uses it, and the tests check the shift kernel against it.
@@ -210,20 +217,22 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None):
     least d(T) over all shifts.  With `dual_of` None every pair counts as
     nondegenerate, and L is the classical limit.
 
-    Each shift T = 1 .. n - 1 is reduced once, at width
-    min(T, n - T, limit), where the limit is the best L so far (1 while
-    the cap is 0, so that single-error collisions are still found): only
-    a d(T) below it can lower L, or lower ell0 below L.
+    Each shift T = 1 .. n // 2 is reduced once, at width min(T, limit),
+    where the limit is the best L so far (1 while the cap is 0, so that
+    single-error collisions are still found): only a d(T) below it can
+    lower L, or lower ell0 below L.  The shifts above n // 2 are skipped:
+    shift n - T has the pairs of T swapped, hence the same d and the same
+    degeneracy (module docstring).
     """
     n = code.n
     L = ell0 = code.r // 2
     limit = max(L, 1)
     flags = ("cap-limited",)
     power_rows = _power_rows(code)
-    for shift in range(1, n):
+    for shift in range(1, n // 2 + 1):
         if not limit:
             break
-        found = _shortest_pair(code, power_rows, shift, min(shift, n - shift, limit))
+        found = _shortest_pair(code, power_rows, shift, min(shift, limit))
         if found is None:
             continue
         d, e, f = found

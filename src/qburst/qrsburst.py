@@ -13,6 +13,13 @@ exact: degeneracy is GF(2^m)-linear, so one dual test serves every
 multiple, and every multiple has v's support, so its image span comes
 from the two end symbols alone, read from tables indexed by discrete
 log, with no field multiply in the scan.
+
+Only the windows whose shift T = start + width is at most n // 2 are
+scanned.  g divides x^n - 1, so the window at shift n - T holds the
+pairs of the window at T with e and f swapped (x^T a = b (mod g) implies
+x^(n-T) b = a): the two windows have the same rank, every kernel vector
+has the same pair of image spans, and its e' - f' is x^(n-T) (f - e) mod
+x^n - 1, which is in the (cyclic) Euclidean dual iff e - f is.
 """
 
 from __future__ import annotations
@@ -169,11 +176,12 @@ def _span_tables(basis: SelfDualBasis):
 def rs_image_burst_limit(rs: RsCode) -> RsReport:
     """True burst limit of the binary image of a quantum RS code.
 
-    Scans every window; the shortest nondegenerate vector of its kernel
-    (measured by the larger of its two image spans) bounds the first
-    uncorrectable length, and the limit is one less.  When every kernel
-    vector everywhere is degenerate the image Reiger bound is reported
-    with a flag.
+    Scans the windows whose shift T = start + width is at most n // 2
+    (the window at n - T holds the same pairs swapped; module docstring);
+    the shortest nondegenerate vector of a kernel (measured by the larger
+    of its two image spans) bounds the first uncorrectable length, and the
+    limit is one less.  When every kernel vector everywhere is degenerate
+    the image Reiger bound is reported with a flag.
 
     The kernel is scanned by projective points {c * v : c != 0}, each once:
     the first base pair b0 alone, then the lines u + lam * b0 (lam in
@@ -266,7 +274,7 @@ def rs_image_burst_limit(rs: RsCode) -> RsReport:
             if lam not in special:
                 score((span_e, lo_e, hi_e), (span_f, lo_f, hi_f), u, lam, w)
 
-    for start in range(0, n - 2 * width + 1):
+    for start in range(0, n // 2 - width + 1):
         rank_, base = _window_base_pairs(rs, start)
         if not hbar - 1 <= rank_ <= hbar and "rank-bound-violated" not in flags:
             flags.append("rank-bound-violated")

@@ -109,6 +109,19 @@ def test_make_rejects_digits_outside_the_field(field):
                 Polynomial.make(field, coeffs)
 
 
+def test_scale_and_monic_build_no_multiple_table():
+    # over GF(2^16) the table of all q multiples of a long polynomial takes
+    # gigabytes; one scaling needs only the m doublings
+    f = field_make(16)
+    coeffs = [(7 * i + 3) % f.q for i in range(300)] + [f.alpha]
+    A = Polynomial.make(f, coeffs)
+    c = f.pow(f.alpha, 1000)
+    assert A.scale(c).coeffs == tuple(f.mul(c, x) for x in coeffs)
+    assert A.monic().coeffs == tuple(f.mul(f.inv(f.alpha), x) for x in coeffs)
+    assert A.scale(0).is_zero and A.scale(1) == A
+    assert "_multiples" not in vars(A)
+
+
 def test_syndrome_rejects_digit_outside_gf4():
     code = code_from_generator(5, P(GF4, 1, 2, 1))
     with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
+from itertools import product
+from math import prod
+
 import pytest
 
 from qburst.galois import GF2, GF4
-from qburst.polyring import Polynomial, divisor_generators
+from qburst.polyring import Polynomial, divisor_generators, factor_xn_minus_1
 from qburst.cycliccode import (
     burst_length,
     code_from_generator,
@@ -354,11 +357,78 @@ def test_limits_match_width_sweep():
 
 
 def test_one_row_reduction_per_shift(monkeypatch):
+    # one reduction per shift T = 1 .. n // 2: shift n - T mirrors T
     calls = []
     reduce_ = qccburst.row_reduce
     monkeypatch.setattr(qccburst, "row_reduce", lambda m: calls.append(m) or reduce_(m))
     for code in (CODE25, make4(45, "(1^18 2^9 1^0)")):
         calls.clear()
         qcc_burst_limit_hermitian(code)
-        assert 0 < len(calls) <= code.n - 1
+        assert 0 < len(calls) <= code.n // 2
         assert all(m.rows == code.r and m.cols <= code.r for m in calls)
+
+
+def _rotate(v, k):
+    """x^k v mod x^n - 1, for 0 < k < n."""
+    return v[-k:] + v[:-k]
+
+
+def test_mirror_shifts_hold_the_swapped_pairs():
+    # x^T a = b (mod g) iff x^(n-T) b = a (mod g): shift n - T has the same
+    # d, its minimal pair is x^(n-T) times (f, e), up to a scalar, and that
+    # pair is degenerate iff the pair at T is
+    mirrored = harmless_seen = 0
+    for codes, construction in KERNEL_SAMPLE:
+        for code, dual_of in _components(codes, construction)[1]:
+            n, field = code.n, code.field
+            power_rows = _power_rows(code)
+            for shift in range(1, n):
+                width = min(shift, n - shift, max(code.r // 2, 1))
+                found = _shortest_pair(code, power_rows, shift, width)
+                mirror = _shortest_pair(code, power_rows, n - shift, width)
+                assert (found is None) == (mirror is None), (code, shift)
+                if found is None:
+                    continue
+                (d, e, f), (d2, e2, f2) = found, mirror
+                assert d == d2, (code, shift)
+                swapped = _rotate(f, n - shift), _rotate(e, n - shift)
+                assert any(
+                    swapped == tuple(tuple(field.mul(c, x) for x in v) for v in (e2, f2))
+                    for c in range(1, field.q)
+                ), (code, shift)
+                harmless = degeneracy_check(code, e, f, dual_of=dual_of)
+                assert harmless == degeneracy_check(code, e2, f2, dual_of=dual_of)
+                mirrored += 1
+                harmless_seen += harmless
+    assert mirrored > 40 and 0 < harmless_seen < mirrored
+
+
+def _even_length_codes():
+    """Every code of even length n (GF(2) n <= 12, GF(4) n <= 8) with a
+    generator of degree 1 .. n - 1.  x^n - 1 has repeated roots there: with
+    n = o * 2^k and o odd it is (x^o - 1)^(2^k), so its monic divisors are
+    the products of the factors of x^o - 1, each to a power 0 .. 2^k."""
+    for field, construction, top in ((GF2, "css", 12), (GF4, "hermitian", 8)):
+        for n in range(2, top + 1, 2):
+            odd, power = n, 1
+            while odd % 2 == 0:
+                odd, power = odd // 2, 2 * power
+            factors = factor_xn_minus_1(odd, field)
+            for powers in product(range(power + 1), repeat=len(factors)):
+                g = prod((p for p, k in zip(factors, powers) for _ in range(k)),
+                         start=Polynomial.one(field))
+                if 1 <= g.degree < n:
+                    yield code_from_generator(n, g), construction
+
+
+def test_even_length_limits_match_oracle():
+    # at even n the shift T = n/2 is its own mirror, and the sweep must keep it
+    checked = 0
+    for code, construction in _even_length_codes():
+        try:
+            rep = qcc_burst_limit(code, construction)
+        except NotDualContaining:
+            continue
+        assert brute_force_limit(code, construction) == (rep.L, rep.ell0), code
+        checked += 1
+    assert checked == 35

@@ -6,6 +6,7 @@ import pytest
 
 from qburst.galois import SelfDualBasis, field_make, self_dual_basis
 from qburst.cycliccode import burst_length, contains, in_euclidean_dual, syndrome
+from qburst.matgf import MatrixGF, rank as matrank
 from qburst.qccburst import NotDualContaining, window_pairs
 from qburst.qrsburst import (
     RsReport,
@@ -172,6 +173,24 @@ def test_window_pairs_at_rs_width():
             assert syndrome(code, e) == syndrome(code, fv)
             assert all(c == 0 for i, c in enumerate(e) if not start <= i < start + width)
             assert all(c == 0 for i, c in enumerate(fv) if i < code.n - width)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_mirror_windows_hold_the_swapped_pairs(m):
+    # the window at start s has shift T = s + w, its mirror n - T starts at
+    # n - 2w - s; x^(n-T) (f, e) maps the pairs of the one onto the other,
+    # so the scan stops at T = n // 2
+    for K in _odd_K(m):
+        rs = rs_make(m, K)
+        code, n, width = rs.code, rs.n, rs.hbar + 1
+        for start in range(n - 2 * width + 1):
+            shift, mirror = start + width, n - 2 * width - start
+            rank, pairs = window_pairs(code, width, start)
+            rank2, pairs2 = window_pairs(code, width, mirror)
+            assert rank == rank2, (m, K, start)
+            span = [e + f for e, f in pairs2]
+            swapped = [_rotate(f, n - shift) + _rotate(e, n - shift) for e, f in pairs]
+            assert len(span) == len(swapped) == matrank(MatrixGF.make(code.field, span + swapped))
 
 
 def test_report_invariants_and_spot_values():
@@ -348,6 +367,11 @@ def _full_kernel_limit(rs):
         flags.append("bound-limited")
     L = qrb if best is None else best - 1
     return RsReport(rs.m, n, rs.K, L, rs_lower_bound(rs), qrb, tuple(flags))
+
+
+def _rotate(v, k):
+    """x^k v mod x^n - 1, for 0 < k < n."""
+    return v[-k:] + v[:-k]
 
 
 def _odd_K(m):
