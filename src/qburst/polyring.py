@@ -6,6 +6,9 @@ multiples c * p of one operand; each polynomial computes its q multiples
 once, for all of its coefficients at a time, from the doublings x^j * p
 of `FieldSpec.doublings`, and keeps them.  A scaling by one c XORs the
 doublings at the set bits of c, so it never builds the q multiples.
+One packed long division (`_divide`) serves `divmod` and the extended
+Euclidean rows (`_euclid_rows`), whose divisors, each used once, are
+scaled from their doublings.
 
 x^n - 1 (n coprime to q) is factored over the base field itself by
 Berlekamp splitting.  The coset sums b_C = sum_{j in C} x^j, one per
@@ -20,10 +23,10 @@ of a cyclic code of length n is then a subset product of these factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from math import gcd, prod
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .galois import FieldSpec, _times, _xor_sums
 
@@ -144,24 +147,9 @@ class Polynomial:
         self._same_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
-        m = f.m
-        db = other.degree
-        lead_inv = f.inv(other.lead)
-        multiples = other._multiples
-        rem, quot = self.bits, 0
-        d = self.degree
-        while d >= db:
-            # cancel the leading coefficient of rem with a shifted multiple;
-            # a monic divisor (the common case) needs no scaling
-            c = rem >> (d * m)
-            if lead_inv != 1:
-                c = f.mul(c, lead_inv)
-            shift = (d - db) * m
-            rem ^= multiples[c] << shift
-            quot |= c << shift
-            d = (rem.bit_length() + m - 1) // m - 1
-        return Polynomial(f, quot), Polynomial(f, rem)
+        times = other._multiples.__getitem__
+        quot, rem = _divide(self.field, self.bits, other.bits, times)
+        return Polynomial(self.field, quot), Polynomial(self.field, rem)
 
     def __mod__(self, other: Polynomial) -> Polynomial:
         return divmod(self, other)[1]
@@ -199,6 +187,56 @@ class Polynomial:
             if c
         ]
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _divide(
+    field: FieldSpec, rem: int, divisor: int, times: Callable[[int], int]
+) -> tuple[int, int]:
+    """Packed long division of `rem` by the nonzero `divisor`, whose
+    multiple c * divisor is `times(c)`: (quotient, remainder)."""
+    m = field.m
+    db = (divisor.bit_length() + m - 1) // m - 1
+    lead_inv = field.inv(divisor >> (db * m))
+    quot = 0
+    d = (rem.bit_length() + m - 1) // m - 1
+    while d >= db:
+        # cancel the leading coefficient of rem with a shifted multiple;
+        # a monic divisor (the common case) needs no scaling
+        c = rem >> (d * m)
+        if lead_inv != 1:
+            c = field.mul(c, lead_inv)
+        shift = (d - db) * m
+        rem ^= times(c) << shift
+        quot |= c << shift
+        d = (rem.bit_length() + m - 1) // m - 1
+    return quot, rem
+
+
+def _euclid_rows(
+    field: FieldSpec, g: int, h: int, w: int
+) -> Iterator[tuple[int, int]]:
+    """The rows (t_i, b_i) of the extended Euclidean algorithm on the packed
+    g and h (deg h < deg g), from (1, h) on, while deg t_i < w.
+
+    Each row has b_i = t_i * h (mod g); deg t rises and deg b falls from row
+    to row, and two consecutive rows span every such pair (rational
+    reconstruction: von zur Gathen and Gerhard, "Modern Computer Algebra",
+    ch. 5).  A row is one packed int, b above t (deg t <= deg g stays below
+    b's lowest digit), so the long division of b_{i-1} by b_i carries each
+    quotient term into t in the same XOR: what is left is the next row.
+    Each divisor row is used once, so it is scaled from its m doublings
+    (`_times`), never from the q multiples.
+    """
+    m = field.m
+    low = -(-g.bit_length() // m) * m  # the digits 0 .. deg g hold t
+    t_mask = (1 << low) - 1
+    before, row = g << low, h << low | 1
+    while (row & t_mask).bit_length() <= w * m:
+        yield row & t_mask, row >> low
+        if not row >> low:
+            return
+        _, rest = _divide(field, before, row, partial(_times, field.doublings(row)))
+        before, row = row, rest
 
 
 def cyclotomic_cosets(n: int, q: int) -> list[list[int]]:

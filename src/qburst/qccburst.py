@@ -33,9 +33,9 @@ pair's e' - f' is x^(n-T) (f - e) mod x^n - 1, and s divides x^n - 1,
 so s divides one iff it divides the other.  The sweep therefore reduces
 only the shifts T = 1 .. n // 2 (T = n/2, at even n, is its own mirror).
 
-`window_pairs` keeps the window row reduction itself: the binary-image
-limit of quantum Reed-Solomon codes (`qrsburst`, at width hbar + 1, above
-r/2) uses it, and the tests check the shift kernel against it.
+`window_pairs` keeps the window row reduction itself as an oracle: the
+tests check the shift kernel and the Reed-Solomon window kernel
+(`qrsburst`, by extended Euclid at width hbar + 1, above r/2) against it.
 
 An exhaustive pair enumeration over canonical burst patterns provides an
 independent oracle for small lengths.
@@ -63,6 +63,7 @@ class NotDualContaining(ValueError):
     """The classical code(s) do not admit the quantum construction."""
 
 
+# row reduction on purpose: the window oracle of the tests and of perfbench
 def window_pairs(code: CyclicCode, width: int, start: int):
     """Rank and dependency pairs of the `width` consecutive columns at
     `start` of the width-shortened check matrix (H without its last

@@ -7,12 +7,20 @@ length mn.  The image's true burst limit is found by scanning the
 (hbar+1)-column windows of the (hbar+1)-shortened check matrix: each
 window is rank deficient, every nonzero vector of its kernel is a pair
 of confusable errors, and the shortest binary image span among the
-nondegenerate ones caps the correctable burst length.  The kernel is
-scanned by projective points {c * v : c != 0}, each once, and that is
-exact: degeneracy is GF(2^m)-linear, so one dual test serves every
-multiple, and every multiple has v's support, so its image span comes
-from the two end symbols alone, read from tables indexed by discrete
-log, with no field multiply in the scan.
+nondegenerate ones caps the correctable burst length.
+
+A window of width w at start s holds the pairs e = x^s a, f = x^(n-w) b
+with deg a, deg b < w and x^T a = b (mod g), T = s + w.  Its kernel
+comes from the extended Euclidean rows of (g, x^T mod g), with no row
+reduction (`_window_kernel`): the rows with max(deg t, deg b) < w,
+and their multiples by x below w, are a basis of it.  x^T mod g is
+stepped from one start to the next by one packed shift-and-reduce.
+
+The kernel is scanned by projective points {c * v : c != 0}, each once,
+and that is exact: degeneracy is GF(2^m)-linear, so one dual test serves
+every multiple, and every multiple has v's support, so its image span
+comes from the two end symbols alone, read from tables indexed by
+discrete log, with no field multiply in the scan.
 
 Only the windows whose shift T = start + width is at most n // 2 are
 scanned.  g divides x^n - 1, so the window at shift n - T holds the
@@ -32,7 +40,7 @@ from operator import sub
 from .cycliccode import CyclicCode, code_from_generator, in_euclidean_dual
 from .galois import FieldSpec, SelfDualBasis, field_make, self_dual_basis
 from .matgf import row_reduce  # noqa: F401  perfbench's tracer patches this binding
-from .polyring import Polynomial
+from .polyring import Polynomial, _euclid_rows
 from .qccburst import NotDualContaining, window_pairs
 
 
@@ -69,8 +77,10 @@ _PINNED_BASES: dict[int, tuple[int, ...]] = {
 }
 
 
+@lru_cache(maxsize=None)
 def reference_self_dual_basis(field: FieldSpec) -> SelfDualBasis:
-    """The pinned ordered self-dual basis of GF(2^m) used for images."""
+    """The pinned ordered self-dual basis of GF(2^m) used for images (built,
+    and so checked against the Gram identity, once per field)."""
     elements = _PINNED_BASES.get(field.m)
     if elements is None:
         return self_dual_basis(field)
@@ -104,7 +114,8 @@ def rs_make(
         raise NotDualContaining(f"n={n} > 2k={2 * k}: dual containment impossible")
     g = Polynomial.one(field)
     for i in range(1, n - k + 1):
-        g = g * Polynomial.make(field, (field.pow(field.alpha, i), 1))
+        # g * (x - alpha^i) = x g + alpha^i g, with no product table
+        g = Polynomial(field, (g.bits << m) ^ g.scale(field.pow(field.alpha, i)).bits)
     code = code_from_generator(n, g)
     if not (code.dual_g % code.g).is_zero:
         raise NotDualContaining("the Euclidean dual is not contained in the code")
@@ -147,7 +158,35 @@ def rs_image_qrb(rs: RsCode) -> int:
 
 def _window_base_pairs(rs: RsCode, start: int):
     """Rank and dependency pairs of the width-(hbar+1) window at `start`."""
+    # row reduction on purpose: the tests' oracle, and perfbench's reference recorder
     return window_pairs(rs.code, rs.hbar + 1, start)
+
+
+def _window_kernel(rs: RsCode, h: int):
+    """Rank and kernel basis of the width-(hbar+1) window at the shift T
+    whose packed h = x^T mod g is given.
+
+    The kernel is the pairs (a, b) with deg a, deg b < w = hbar + 1 and
+    b = x^T a (mod g), each returned as a's w digits followed by b's.  The
+    extended Euclidean rows (t, b) of (g, h) have max(deg t, deg b) falling
+    to a least value and rising again.  The two consecutive rows about that
+    least value span every pair, and their leading digits are independent,
+    so c * row + c' * row' has the larger of the degrees of its two terms:
+    a pair of the window is such a sum with deg c < w - max(deg t, deg b).
+    The kernel basis is {x^u * row : u < w - max(deg t, deg b)} over the
+    rows with that maximum below w.  As w = hbar + 1 > r / 2, only those two
+    rows can be among them (their maxima add up to r), and one at least is.
+    """
+    m, mask, width = rs.m, rs.field.q - 1, rs.hbar + 1
+
+    def digits(p):
+        return tuple((p >> (i * m)) & mask for i in range(width))
+
+    basis = []
+    for t, b in _euclid_rows(rs.field, rs.code.g.bits, h, width):
+        room = width + 1 - (max(t.bit_length(), b.bit_length()) + m - 1) // m
+        basis.extend(digits(t << (u * m)) + digits(b << (u * m)) for u in range(room))
+    return width - len(basis), basis
 
 
 @lru_cache(maxsize=None)
@@ -177,14 +216,14 @@ def rs_image_burst_limit(rs: RsCode) -> RsReport:
     """True burst limit of the binary image of a quantum RS code.
 
     Scans the windows whose shift T = start + width is at most n // 2
-    (the window at n - T holds the same pairs swapped; module docstring);
-    the shortest nondegenerate vector of a kernel (measured by the larger
-    of its two image spans) bounds the first uncorrectable length, and the
-    limit is one less.  When every kernel vector everywhere is degenerate
+    (the window at n - T holds the same pairs swapped; module docstring),
+    each kernel from `_window_kernel`; the shortest nondegenerate vector
+    of a kernel (measured by the larger of its two image spans) bounds the
+    first uncorrectable length, and the limit is one less.  When every kernel vector everywhere is degenerate
     the image Reiger bound is reported with a flag.
 
     The kernel is scanned by projective points {c * v : c != 0}, each once:
-    the first base pair b0 alone, then the lines u + lam * b0 (lam in
+    the first basis vector b0 alone, then the lines u + lam * b0 (lam in
     GF(q)) over the other points u of the kernel.  Two facts keep this
     exact.  Degeneracy is GF(q)-linear, so one dual test serves a point.
     And every multiple c * v has v's support, so its image span (bit i*m + j
@@ -274,13 +313,19 @@ def rs_image_burst_limit(rs: RsCode) -> RsReport:
             if lam not in special:
                 score((span_e, lo_e, hi_e), (span_f, lo_f, hi_f), u, lam, w)
 
+    # h = x^T mod g for the shift T = start + width, stepped once per start
+    # by packed shift-and-reduce (g is monic)
+    r, gmul = code.r, code.g._multiples
+    h = 1 << (width - 1) * m
     for start in range(0, n // 2 - width + 1):
-        rank_, base = _window_base_pairs(rs, start)
+        h <<= m
+        h ^= gmul[h >> (r * m)]
+        rank_, base = _window_kernel(rs, h)
         if not hbar - 1 <= rank_ <= hbar and "rank-bound-violated" not in flags:
             flags.append("rank-bound-violated")
         if not base:
             continue
-        first, *rest = [e[start : start + width] + fv[n - width :] for e, fv in base]
+        first, *rest = base
         score(ends(first, 0), ends(first, width), first, 0, first)
         # every other point is, scaled, rest[k] + sum_{i<k} c_i rest[i] + lam b0
         for k, head in enumerate(rest):

@@ -5,6 +5,7 @@ from qburst.cycliccode import code_from_generator, syndrome
 from qburst.galois import GF2, GF4, field_make
 from qburst.polyring import (
     Polynomial,
+    _euclid_rows,
     cyclotomic_cosets,
     divisor_generators,
     factor_xn_minus_1,
@@ -120,6 +121,30 @@ def test_scale_and_monic_build_no_multiple_table():
     assert A.monic().coeffs == tuple(f.mul(f.inv(f.alpha), x) for x in coeffs)
     assert A.scale(0).is_zero and A.scale(1) == A
     assert "_multiples" not in vars(A)
+
+
+@settings(max_examples=200)
+@given(field_and_two_lists, st.integers(1, 14))
+def test_euclid_rows_are_the_extended_euclidean_rows(drawn, w):
+    # each row (t, b) has b = t h (mod g); deg t rises, deg b falls, and
+    # consecutive rows have deg t_(i+1) + deg b_i = deg g; the rows stop
+    # once deg t reaches w, or after a row with b = 0 (g and h not coprime)
+    field, gc, hc = drawn
+    g = Polynomial.make(field, gc + [1])
+    h = Polynomial.make(field, hc) % g
+    rows = [
+        (Polynomial(field, t), Polynomial(field, b))
+        for t, b in _euclid_rows(field, g.bits, h.bits, w)
+    ]
+    assert rows[0] == (Polynomial.one(field), h)
+    for t, b in rows:
+        assert ((t * h - b) % g).is_zero and t.degree < w
+    for (t, b), (t2, b2) in zip(rows, rows[1:]):
+        assert t2.degree > t.degree and b2.degree < b.degree
+        assert t2.degree + b.degree == g.degree
+    t, b = rows[-1]
+    if not b.is_zero:  # the next row's t has degree deg g - deg b
+        assert g.degree - b.degree >= w
 
 
 def test_syndrome_rejects_digit_outside_gf4():

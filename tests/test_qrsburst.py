@@ -7,10 +7,12 @@ import pytest
 from qburst.galois import SelfDualBasis, field_make, self_dual_basis
 from qburst.cycliccode import burst_length, contains, in_euclidean_dual, syndrome
 from qburst.matgf import MatrixGF, rank as matrank
+from qburst.polyring import Polynomial
 from qburst.qccburst import NotDualContaining, window_pairs
 from qburst.qrsburst import (
     RsReport,
     _window_base_pairs,
+    _window_kernel,
     image_expand,
     reference_self_dual_basis,
     rs_image_burst_limit,
@@ -38,6 +40,18 @@ def test_rs_make_examples():
         rs_make(4, 16)
     with pytest.raises(NotDualContaining):
         rs_make(3, -1)  # k = 3 < n/2
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_generator_is_the_product_of_its_roots(m):
+    f = field_make(m)
+    for K in _odd_K(m):
+        rs = rs_make(m, K)
+        g = Polynomial.one(f)
+        for i in range(1, rs.n - rs.k_classical + 1):
+            g = g * Polynomial.make(f, (f.pow(f.alpha, i), 1))
+        assert rs.code.g == g
+        assert rs.basis is reference_self_dual_basis(f)  # one basis, one Gram check
 
 
 def test_rs_dual_rows_are_codewords():
@@ -173,6 +187,23 @@ def test_window_pairs_at_rs_width():
             assert syndrome(code, e) == syndrome(code, fv)
             assert all(c == 0 for i, c in enumerate(e) if not start <= i < start + width)
             assert all(c == 0 for i, c in enumerate(fv) if i < code.n - width)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_euclid_kernel_matches_row_reduction(m):
+    # every window the scan reads, T = start + w <= n // 2: the same rank,
+    # and the two bases stacked have rank dim, so they span one kernel
+    for K in _odd_K(m):
+        rs = rs_make(m, K)
+        code, n, width = rs.code, rs.n, rs.hbar + 1
+        for start in range(n // 2 - width + 1):
+            h = Polynomial.x_pow(code.field, start + width) % code.g
+            rank, base = _window_kernel(rs, h.bits)
+            rank2, pairs = _window_base_pairs(rs, start)
+            oracle = [e[start : start + width] + f[n - width :] for e, f in pairs]
+            assert rank == rank2 and len(base) == width - rank, (m, K, start)
+            stacked = MatrixGF.make(code.field, base + oracle)
+            assert matrank(stacked) == len(base), (m, K, start)
 
 
 @pytest.mark.parametrize("m", [4, 5])
