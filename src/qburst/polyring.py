@@ -6,9 +6,10 @@ multiples c * p of one operand; each polynomial computes its q multiples
 once, for all of its coefficients at a time, from the doublings x^j * p
 of `FieldSpec.doublings`, and keeps them.  A scaling by one c XORs the
 doublings at the set bits of c, so it never builds the q multiples.
-One packed long division (`_divide`) serves `divmod` and the extended
-Euclidean rows (`_euclid_rows`), whose divisors, each used once, are
-scaled from their doublings.
+One packed long division (`_divide`) serves `divmod`, the gcds of the
+factorization (`_monic_gcd`) and the extended Euclidean rows
+(`_euclid_rows`), whose divisors, each used once, are scaled from their
+doublings.
 
 x^n - 1 (n coprime to q) is factored over the base field itself by
 Berlekamp splitting.  The coset sums b_C = sum_{j in C} x^j, one per
@@ -16,8 +17,10 @@ cyclotomic coset C of q modulo n, satisfy b_C^q = b_C modulo x^n - 1, so
 each reduces to a constant of GF(q) modulo every irreducible factor, and
 together they tell the factors apart.  Splitting every partial factor p
 into the gcds of p with b_C - c, c in GF(q), therefore ends with one part
-per coset: the irreducible factors.  Every candidate generator polynomial
-of a cyclic code of length n is then a subset product of these factors.
+per coset: the irreducible factors.  A part on which b_C reduces to a
+constant takes that one value on all its roots, so it is kept whole
+without its q gcds.  Every candidate generator polynomial of a cyclic
+code of length n is then a subset product of these factors.
 """
 
 from __future__ import annotations
@@ -99,8 +102,18 @@ class Polynomial:
 
     @cached_property
     def coeffs(self) -> tuple[int, ...]:
+        # eight digits fill m bytes, so the int is read m bytes at a time:
+        # linear in the degree, where one shift of the whole int per digit
+        # would be quadratic
         m, mask = self.field.m, self.field.q - 1
-        return tuple((self.bits >> (i * m)) & mask for i in range(self.degree + 1))
+        digits = self.degree + 1
+        raw = self.bits.to_bytes(-(-digits // 8) * m, "little")
+        shifts = range(0, 8 * m, m)
+        out = []
+        for at in range(0, len(raw), m):
+            word = int.from_bytes(raw[at:at + m], "little")
+            out += [(word >> s) & mask for s in shifts]
+        return tuple(out[:digits])
 
     @cached_property
     def _doublings(self) -> list[int]:
@@ -160,12 +173,16 @@ class Polynomial:
         return self.scale(self.field.inv(self.lead))
 
     def reciprocal(self) -> Polynomial:
-        """x^deg * p(1/x), trimmed (assumes nonzero constant term use-cases)."""
+        """x^deg * p(1/x), trimmed (assumes nonzero constant term use-cases).
+
+        The binary text of the int, padded to whole digits, read back m
+        characters at a time from the low end: linear in the degree."""
         m = self.field.m
-        bits = 0
-        for c in self.coeffs:
-            bits = (bits << m) | c
-        return Polynomial(self.field, bits)
+        text = format(self.bits, "b")
+        text = text.zfill(-(-len(text) // m) * m)
+        return Polynomial(
+            self.field, int("".join(text[i - m:i] for i in range(len(text), 0, -m)), 2)
+        )
 
     def conjugate(self) -> Polynomial:
         """Coefficient-wise conjugation (GF(4): x -> x^2; the identity over GF(2))."""
@@ -259,9 +276,12 @@ def cyclotomic_cosets(n: int, q: int) -> list[list[int]]:
 
 
 def _monic_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd by packed remainders; each divisor is used once, so it is
+    scaled from its m doublings (`_times`), never from the q multiples."""
+    field, a, b = a.field, a.bits, b.bits
+    while b:
+        a, b = b, _divide(field, a, b, partial(_times, field.doublings(b)))[1]
+    return Polynomial(field, a).monic()
 
 
 @lru_cache(maxsize=None)
@@ -276,6 +296,10 @@ def _factorization(n: int, field: FieldSpec) -> tuple[Polynomial, ...]:
         split = []
         for p in parts:
             residue = b % p
+            if residue.degree <= 0:
+                # b is one constant on every root of p: p does not split
+                split.append(p)
+                continue
             for c in field.elements():
                 d = _monic_gcd(p, residue - Polynomial(field, c))
                 if d.degree > 0:

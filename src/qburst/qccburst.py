@@ -210,13 +210,19 @@ def _components(codes, construction: str):
     return K, sweeps
 
 
-def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None):
+def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None, floor: int = 0):
     """One sweep of the limit algorithm against a single classical code.
 
     Returns (L, ell0, flags): L is the least d(T) over the shifts whose
     minimal pair is nondegenerate (or the Reiger cap, flagged), ell0 the
     least d(T) over all shifts.  With `dual_of` None every pair counts as
     nondegenerate, and L is the classical limit.
+
+    L only falls as the sweep goes on, so once it is below `floor` the
+    sweep returns at once, before any shift when the cap itself is below
+    it.  Such a result is partial: its L is below `floor` but may be above
+    the exact one, and its ell0 and flags are not final.  With the default
+    floor 0 the result is exact.
 
     Each shift T = 1 .. n // 2 is reduced once, at width min(T, limit),
     where the limit is the best L so far (1 while the cap is 0, so that
@@ -229,6 +235,8 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None):
     L = ell0 = code.r // 2
     limit = max(L, 1)
     flags = ("cap-limited",)
+    if L < floor:
+        return L, ell0, flags
     power_rows = _power_rows(code)
     for shift in range(1, n // 2 + 1):
         if not limit:
@@ -241,6 +249,8 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None):
         if dual_of is None or not degeneracy_check(code, e, f, dual_of=dual_of):
             L = limit = d
             flags = ()
+            if L < floor:
+                break
     return L, ell0, flags
 
 
@@ -251,8 +261,14 @@ def qcc_burst_limit(codes, construction: str) -> QccReport:
     Each component is swept on its own, and the code corrects what every
     component corrects.
     """
-    K, sweeps = _components(codes, construction)
-    results = [_component_sweep(*sweep) for sweep in sweeps]
+    return _sweep_report(*_components(codes, construction), construction)
+
+
+def _sweep_report(K: int, sweeps, construction: str, floor: int = 0) -> QccReport:
+    """The report of a checked construction (`_components` gives K and the
+    sweeps).  Each sweep gets `floor`, so a report whose L is below it is
+    partial (see `_component_sweep`); floor 0 gives the exact report."""
+    results = [_component_sweep(*sweep, floor) for sweep in sweeps]
     L = min(L for L, _, _ in results)
     ell0 = min(ell0 for _, ell0, _ in results)
     flags = tuple(sorted(set.intersection(*(set(flags) for _, _, flags in results))))

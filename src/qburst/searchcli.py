@@ -11,6 +11,9 @@ emits reports sorted canonically.  The burst-limit sweep runs once per orbit
 under reversing positions and conjugating digits (`cycliccode._orbit_key`):
 both maps keep burst lengths and commute with the partner map that fixes
 the stabilizer, so every member shares K and the limits of the first.
+With `--delta-max` a sweep stops as soon as its L has fallen below what
+that delta needs; the partial report of such an orbit fails the delta
+filter, so neither it nor any member is emitted (`search`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 from .cycliccode import MAX_LENGTH, _orbit_key, code_from_generator, dual_containing_generators
 from .galois import GF2, GF4, FieldSpec
 from .polyring import Polynomial
-from .qccburst import QccReport, _components, qcc_burst_limit
+from .qccburst import QccReport, _components, _sweep_report, qcc_burst_limit
 from .qetd import QetdStats, burst_census
 from .qrsburst import rs_image_burst_limit, rs_make
 
@@ -125,18 +128,28 @@ def search(job: SearchJob) -> list[QccReport]:
     """All dual-containing cyclic codes in range with delta <= delta_max,
     sorted canonically.  Every code is built and passes the construction
     check; the first member of each orbit is swept, and the others take
-    its report with their own generator."""
+    its report with their own generator.
+
+    delta = n - K - 4L <= delta_max holds iff L >= floor =
+    ceil((n - K - delta_max) / 4), so the sweep stops at the first
+    nondegenerate shift whose d(T) is below the floor, and runs no shift
+    when the floor is above the Reiger cap r // 2 (every odd r at
+    delta_max 0).  The report of such an orbit is partial, but its L is
+    below the floor, hence its delta above delta_max: the filter below
+    drops it, and with it every member that takes it.  Without delta_max
+    the floor is 0 and every report is exact."""
     field, construction = FIELDS[job.field], CONSTRUCTIONS[job.field]
     reports = []
     for n in job.lengths():
         orbits: dict[int, QccReport] = {}
         for g in dual_containing_generators(n, field):
             code, key = code_from_generator(n, g), _orbit_key(g)
+            K, sweeps = _components(code, construction)
             if key in orbits:
-                _components(code, construction)
                 report = replace(orbits[key], generators=(g.coeffs,))
             else:
-                report = orbits[key] = qcc_burst_limit(code, construction)
+                floor = 0 if job.delta_max is None else -(-(n - K - job.delta_max) // 4)
+                report = orbits[key] = _sweep_report(K, sweeps, construction, floor)
             if job.delta_max is None or report.delta <= job.delta_max:
                 reports.append(report)
     return sorted(reports, key=_report_sort_key)

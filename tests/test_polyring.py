@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from qburst.galois import GF2, GF4, field_make
 from qburst.polyring import (
     Polynomial,
     _euclid_rows,
+    _monic_gcd,
     cyclotomic_cosets,
     divisor_generators,
     factor_xn_minus_1,
@@ -197,6 +200,33 @@ def test_factor_product_reconstructs(field):
         assert prod == Polynomial.xn_minus_1(field, n)
         sizes = sorted(len(c) for c in cyclotomic_cosets(n, field.q))
         assert sizes == sorted(f.degree for f in factors)
+
+
+@pytest.mark.parametrize(
+    "field,digest",
+    [(GF2, "359868150377223ccc00e258540c7cccbb90fa2cb8a1045d165616356e3bc59f"),
+     (GF4, "54e55fba37be123ccda3e5955453d7f0bfc87ca014fdd2038e542d8ced5d4cb0")],
+    ids=["gf2", "gf4"],
+)
+def test_factor_lists_are_pinned(field, digest):
+    # the sorted factor lists of every odd n < 130, byte for byte: the
+    # order of `divisor_generators` and of every search rests on them
+    text = "\n".join(
+        f"{n}: " + " ".join(str(p.bits) for p in factor_xn_minus_1(n, field))
+        for n in range(1, 130, 2)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@settings(max_examples=200)
+@given(field_and_two_lists)
+def test_packed_gcd_matches_the_remainder_loop(drawn):
+    field, ac, bc = drawn
+    a, b = Polynomial.make(field, ac), Polynomial.make(field, bc)
+    want_a, want_b = a, b
+    while not want_b.is_zero:
+        want_a, want_b = want_b, want_a % want_b
+    assert _monic_gcd(a, b) == want_a.monic()
 
 
 def test_factor_big_splitting_field():

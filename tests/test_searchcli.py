@@ -114,6 +114,26 @@ def test_search_orbit_members_match_direct_limits(field, count):
         assert (r.K, r.L, r.ell0, r.flags) == (direct.K, direct.L, direct.ell0, direct.flags), r
 
 
+@pytest.mark.parametrize("field,n_max", [("gf4", 45), ("gf2", 63)])
+def test_search_delta_exit_matches_the_exact_search(monkeypatch, field, n_max):
+    # oracle for the delta early exit: a search with delta_max D emits
+    # exactly the reports of the exact search whose delta is <= D, while
+    # its sweeps reduce fewer shifts (the exit fires)
+    calls = []
+    shortest = qburst.qccburst._shortest_pair
+    monkeypatch.setattr(
+        "qburst.qccburst._shortest_pair", lambda *a: calls.append(1) or shortest(*a)
+    )
+    exact = search(SearchJob(3, n_max, field))
+    exact_calls = len(calls)
+    for delta_max in (0, 1, 2):
+        calls.clear()
+        reports = search(SearchJob(3, n_max, field, delta_max))
+        assert reports == [r for r in exact if r.delta <= delta_max]
+        assert len(calls) < exact_calls
+    assert reports  # delta <= 2 finds codes over both fields
+
+
 def test_search_empty_stream():
     assert search(SearchJob(3, 3, "gf4", 2)) == []
 
