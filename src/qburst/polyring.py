@@ -9,7 +9,8 @@ doublings at the set bits of c, so it never builds the q multiples.
 One packed long division (`_divide`) serves `divmod`, the gcds of the
 factorization (`_monic_gcd`) and the extended Euclidean rows
 (`_euclid_rows`), whose divisors, each used once, are scaled from their
-doublings.
+doublings.  The powers x^j modulo a monic g (`_x_powers`) are stepped by
+one shift-and-reduce each, with no division.
 
 x^n - 1 (n coprime to q) is factored over the base field itself by
 Berlekamp splitting.  The coset sums b_C = sum_{j in C} x^j, one per
@@ -254,6 +255,19 @@ def _euclid_rows(
             return
         _, rest = _divide(field, before, row, partial(_times, field.doublings(row)))
         before, row = row, rest
+
+
+def _x_powers(g: Polynomial) -> Iterator[int]:
+    """The packed x^0, x^1, x^2, ... modulo the monic g of degree >= 1,
+    without end.  Each power is the one before shifted up a digit, its digit
+    deg g cancelled by one of g's multiples."""
+    m, multiples = g.field.m, g._multiples
+    top = g.degree * m
+    power = 1
+    while True:
+        yield power
+        power <<= m
+        power ^= multiples[power >> top]
 
 
 def cyclotomic_cosets(n: int, q: int) -> list[list[int]]:

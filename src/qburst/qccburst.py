@@ -44,6 +44,7 @@ independent oracle for small lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .cycliccode import (
     CyclicCode,
@@ -56,7 +57,7 @@ from .cycliccode import (
     vector_poly,
 )
 from .matgf import MatrixGF, row_reduce
-from .polyring import Polynomial
+from .polyring import Polynomial, _x_powers
 
 
 class NotDualContaining(ValueError):
@@ -96,17 +97,10 @@ def window_pairs(code: CyclicCode, width: int, start: int):
 
 
 def _power_rows(code: CyclicCode) -> list[tuple[int, ...]]:
-    """Row k holds digit k of x^j mod g for j < n.  The powers come by
-    packed shift-and-reduce: each is the one before shifted up a digit, its
-    digit r cancelled by a multiple of the monic g."""
+    """Row k holds digit k of x^j mod g for j < n (`polyring._x_powers`)."""
     m, mask, r = code.field.m, code.field.q - 1, code.r
-    gmul = [code.g.scale(c).bits for c in code.field.elements()]
-    powers, reg = [], 1
-    for _ in range(code.n):
-        powers.append([(reg >> (i * m)) & mask for i in range(r)])
-        reg <<= m
-        reg ^= gmul[reg >> (r * m)]
-    return list(zip(*powers))
+    powers = islice(_x_powers(code.g), code.n)
+    return list(zip(*([(p >> i * m) & mask for i in range(r)] for p in powers)))
 
 
 def _shortest_pair(code: CyclicCode, power_rows, shift: int, width: int):

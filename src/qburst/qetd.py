@@ -36,11 +36,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 from .cycliccode import CyclicCode, burst_count, stabilizer_generator
 from .galois import GF4, _xor_sums
-from .polyring import Polynomial
+from .polyring import Polynomial, _x_powers
 from .qccburst import _components
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ class _PackedDecoder:
         # chunks[pos][v]: the image of the four digits of v at pos..pos+3
         self.chunks = [_xor_sums([image[(pos + t) % n] for t in range(4)]) for pos in range(n)]
         # c * g packed: XORed in after a shift, it clears an overflow digit c.
-        self.gmul = [g.scale(c).bits for c in range(4)]
+        self.gmul = g._multiples
 
     def walk(self, packed_s: int, lim: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Walk the registers x^i S mod g, i = 0..n-1, of a packed syndrome S.
@@ -280,9 +280,8 @@ class _PackedDecoder:
 
 
 def _position_syndrome_tables(n: int, modulus: Polynomial) -> list[list[int]]:
-    """tables[pos][digit] = packed digit * x^pos modulo a GF(4) polynomial."""
-    rems = [Polynomial.x_pow(GF4, pos) % modulus for pos in range(n)]
-    return [[rem.scale(d).bits for d in range(4)] for rem in rems]
+    """tables[pos][digit] = packed digit * x^pos modulo a monic GF(4) polynomial."""
+    return [Polynomial(GF4, p)._multiples for p in islice(_x_powers(modulus), n)]
 
 
 def _unit_bursts(table: list[list[int]], length: int):

@@ -10,17 +10,19 @@ of confusable errors, and the shortest binary image span among the
 nondegenerate ones caps the correctable burst length.
 
 A window of width w at start s holds the pairs e = x^s a, f = x^(n-w) b
-with deg a, deg b < w and x^T a = b (mod g), T = s + w.  Its kernel
-comes from the extended Euclidean rows of (g, x^T mod g), with no row
-reduction (`_window_kernel`): the rows with max(deg t, deg b) < w,
-and their multiples by x below w, are a basis of it.  x^T mod g is
-stepped from one start to the next by one packed shift-and-reduce.
+with deg a, deg b < w and x^T a = b (mod g), T = s + w.  The code is MDS,
+so these pairs form a space of dimension exactly 2w - r (MacWilliams and
+Sloane, ch. 11): one pair when r is odd and two when r is even, with
+w = hbar + 1.  `_window_kernel` reads them off the extended Euclidean
+rows of (g, x^T mod g) as packed pairs (a, b), with no row reduction;
+x^T mod g comes from `polyring._x_powers`, one shift-and-reduce a start.
 
-The kernel is scanned by projective points {c * v : c != 0}, each once,
-and that is exact: degeneracy is GF(2^m)-linear, so one dual test serves
-every multiple, and every multiple has v's support, so its image span
-comes from the two end symbols alone, read from tables indexed by
-discrete log, with no field multiply in the scan.
+The kernel is scanned by projective points {c * v : c != 0}, each once
+(b0, then the line b1 + lam * b0), and that is exact: degeneracy is
+GF(2^m)-linear, so one dual test serves every multiple, and every
+multiple has v's support, so its image span comes from the two end
+symbols alone, read from tables indexed by discrete log, with no field
+multiply in the scan.
 
 Only the windows whose shift T = start + width is at most n // 2 are
 scanned.  g divides x^n - 1, so the window at shift n - T holds the
@@ -34,13 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice
 from operator import sub
 
 from .cycliccode import CyclicCode, code_from_generator, in_euclidean_dual
-from .galois import FieldSpec, SelfDualBasis, field_make, self_dual_basis
+from .galois import FieldSpec, SelfDualBasis, _times, field_make, self_dual_basis
 from .matgf import row_reduce  # noqa: F401  perfbench's tracer patches this binding
-from .polyring import Polynomial, _euclid_rows
+from .polyring import Polynomial, _euclid_rows, _x_powers
 from .qccburst import NotDualContaining, window_pairs
 
 
@@ -162,31 +164,29 @@ def _window_base_pairs(rs: RsCode, start: int):
     return window_pairs(rs.code, rs.hbar + 1, start)
 
 
-def _window_kernel(rs: RsCode, h: int):
-    """Rank and kernel basis of the width-(hbar+1) window at the shift T
-    whose packed h = x^T mod g is given.
+def _window_kernel(rs: RsCode, h: int) -> list[tuple[int, int]]:
+    """The 2w - r basis pairs (a, b), packed, of the width-w window
+    (w = hbar + 1) at the shift T whose packed h = x^T mod g is given.
 
-    The kernel is the pairs (a, b) with deg a, deg b < w = hbar + 1 and
-    b = x^T a (mod g), each returned as a's w digits followed by b's.  The
-    extended Euclidean rows (t, b) of (g, h) have max(deg t, deg b) falling
-    to a least value and rising again.  The two consecutive rows about that
-    least value span every pair, and their leading digits are independent,
-    so c * row + c' * row' has the larger of the degrees of its two terms:
-    a pair of the window is such a sum with deg c < w - max(deg t, deg b).
-    The kernel basis is {x^u * row : u < w - max(deg t, deg b)} over the
-    rows with that maximum below w.  As w = hbar + 1 > r / 2, only those two
-    rows can be among them (their maxima add up to r), and one at least is.
+    The kernel is the pairs with deg a, deg b < w and b = x^T a (mod g).
+    The extended Euclidean rows (t, b) of (g, h) have max(deg t, deg b)
+    falling to a least value and rising again.  The two consecutive rows
+    about that least value span every pair, and their leading digits are
+    independent, so c * row + c' * row' has the larger of the degrees of
+    its two terms: a pair of the window is such a sum with
+    deg c < w - max(deg t, deg b).  The kernel basis is {x^u * row : u < w -
+    max(deg t, deg b)} over the rows with that maximum below w.  The code
+    is MDS, so there are exactly 2w - r of them (module docstring); the scan
+    relies on that shape, so any other count stops it.
     """
-    m, mask, width = rs.m, rs.field.q - 1, rs.hbar + 1
-
-    def digits(p):
-        return tuple((p >> (i * m)) & mask for i in range(width))
-
-    basis = []
+    m, width = rs.m, rs.hbar + 1
+    kernel = []
     for t, b in _euclid_rows(rs.field, rs.code.g.bits, h, width):
         room = width + 1 - (max(t.bit_length(), b.bit_length()) + m - 1) // m
-        basis.extend(digits(t << (u * m)) + digits(b << (u * m)) for u in range(room))
-    return width - len(basis), basis
+        kernel.extend((t << u * m, b << u * m) for u in range(room))
+    if len(kernel) != 2 * width - rs.code.r:
+        raise AssertionError(f"window kernel of dimension {len(kernel)}, not 2w - r")
+    return kernel
 
 
 @lru_cache(maxsize=None)
@@ -194,22 +194,19 @@ def _span_tables(basis: SelfDualBasis):
     """Image tables of GF(2^m) under one basis, indexed by the discrete log k
     of alpha^k.
 
-    Returns exp (doubled) and log; `top` and `low`, the bit length and the
-    1-based lowest set bit of each element's packed image (doubled, so a
-    slice of q - 1 entries from any log is one full turn); and side_min,
-    where side_min[d] is the least top(c * alpha^d) - low(c) over c != 0.
+    Returns the field's exp (doubled) and log; `top` and `low`, the bit
+    length and the 1-based lowest set bit of each element's packed image
+    (doubled, so a slice of q - 1 entries from any log is one full turn); and
+    side_min, where side_min[d] is the least top(c * alpha^d) - low(c) over
+    c != 0.
     """
     field = basis.field
-    order = field.q - 1
-    exp = [field.pow(field.alpha, k) for k in range(order)]
-    log = [0] * field.q
-    for k, a in enumerate(exp):
-        log[a] = k
-    images = [sum(bit << j for j, bit in enumerate(basis.coordinates(a))) for a in exp]
+    order, exp = field.q - 1, field._exp
+    images = [sum(bit << j for j, bit in enumerate(basis.coordinates(a))) for a in exp[:order]]
     top = [x.bit_length() for x in images]
     low = [(x & -x).bit_length() for x in images]
     side_min = [min(top[(u + d) % order] - low[u] for u in range(order)) for d in range(order)]
-    return tuple(exp * 2), tuple(log), tuple(top * 2), tuple(low * 2), tuple(side_min)
+    return tuple(exp), tuple(field._log), tuple(top * 2), tuple(low * 2), tuple(side_min)
 
 
 def rs_image_burst_limit(rs: RsCode) -> RsReport:
@@ -219,68 +216,67 @@ def rs_image_burst_limit(rs: RsCode) -> RsReport:
     (the window at n - T holds the same pairs swapped; module docstring),
     each kernel from `_window_kernel`; the shortest nondegenerate vector
     of a kernel (measured by the larger of its two image spans) bounds the
-    first uncorrectable length, and the limit is one less.  When every kernel vector everywhere is degenerate
-    the image Reiger bound is reported with a flag.
+    first uncorrectable length, and the limit is one less.  When every
+    kernel vector everywhere is degenerate the image Reiger bound is
+    reported with a flag.
 
-    The kernel is scanned by projective points {c * v : c != 0}, each once:
-    the first basis vector b0 alone, then the lines u + lam * b0 (lam in
-    GF(q)) over the other points u of the kernel.  Two facts keep this
-    exact.  Degeneracy is GF(q)-linear, so one dual test serves a point.
-    And every multiple c * v has v's support, so its image span (bit i*m + j
-    of the packed image holds coordinate j of symbol i) is
+    A kernel is one packed pair b0, or two, b0 and b1, when r is even (the
+    MDS shape).  It is scanned by projective points {c * v : c != 0}, each
+    once: b0, then the line b1 + lam * b0 (lam in GF(q)), a point being b1
+    XOR lam times b0's doublings.  Two facts keep this exact.  Degeneracy
+    is GF(q)-linear, so one dual test serves a point.  And every multiple
+    c * v has v's support, so its image span (bit i*m + j of the packed
+    image holds coordinate j of symbol i) is
     m * (hi - lo) + 1 + top(c * v_hi) - low(c * v_lo) for the end symbols
-    lo <= hi of v; over c this depends only on the ratio v_hi / v_lo,
-    whose best case side_min prunes a point before its q - 1 multiples
-    are scored.  On a line the ends are those of the union support of u
-    and b0 for every lam except the ones (at most one per end) that
-    cancel an end symbol; those points are scored from their own vectors.
+    lo <= hi of v; over c this depends only on the ratio v_hi / v_lo, whose
+    best case side_min prunes a point before its q - 1 multiples are
+    scored.  On the line the ends are those of the union support of b1 and
+    b0 for every lam except the ones (at most one per end) that cancel an
+    end symbol; those points are scored from their own vectors.  Only a
+    point that survives the pruning is spelled out for its dual test.
     """
-    code = rs.code
-    n, m, hbar = rs.n, rs.m, rs.hbar
-    order = rs.field.q - 1
-    width = hbar + 1
+    code, field = rs.code, rs.field
+    n, m = rs.n, rs.m
+    order = mask = field.q - 1
+    width = rs.hbar + 1
     exp, log, top, low, side_min = _span_tables(rs.basis)
     least = min(side_min)
-    flags: list[str] = []
     qrb = rs_image_qrb(rs)
     lower = rs_lower_bound(rs)
     unset = m * n + 1  # longer than any image span
     best = unset
 
-    # A kernel vector (e, f) is held as one tuple: e's window, then f's.
-    # The windows are disjoint, so e - f is the two put in place (e's
-    # window starts at the scan's `start`).
-    def axpy(u, lam: int, w):
-        """u + lam * w, symbol by symbol."""
-        if not lam:
-            return u
-        s = log[lam]
-        return tuple(x ^ exp[s + log[y]] if y else x for x, y in zip(u, w))
+    # A kernel vector (e, f) is held as its two packed windows (a, b), with
+    # e = x^start a and f = x^(n - width) b; the windows are disjoint.
+    def bounds(x: int) -> tuple[int, int]:
+        """The indices lo <= hi of the lowest and highest nonzero digits of x."""
+        return ((x & -x).bit_length() - 1) // m, (x.bit_length() - 1) // m
 
-    def ends(v, side: int):
-        """(m * (hi - lo) + 1, log v_lo, log v_hi) of one window of v."""
-        part = v[side : side + width]
-        support = [k for k, x in enumerate(part) if x]
-        lo, hi = support[0], support[-1]
-        return m * (hi - lo) + 1, log[part[lo]], log[part[hi]]
+    def ends(x: int):
+        """(m * (hi - lo) + 1, log x_lo, log x_hi) of one packed window x."""
+        lo, hi = bounds(x)
+        return m * (hi - lo) + 1, log[x >> lo * m & mask], log[x >> hi * m]
 
     def spans(base: int, lo: int, hi: int):
         """The image spans of alpha^t * v for t = 0 .. q - 2."""
         return map(base.__add__, map(sub, top[hi : hi + order], low[lo : lo + order]))
 
-    def score(e_ends, f_ends, u, lam: int, w) -> None:
-        """Lower `best` to the shortest larger span over the multiples of
-        the point u + lam * w, if that is shorter and the point is
-        nondegenerate."""
-        nonlocal best
+    def score(e_ends, f_ends) -> int:
+        """The shortest larger span over the multiples of a point whose
+        windows have these ends, or `unset` if side_min shows it is no
+        shorter than `best`."""
         (span_e, lo_e, hi_e), (span_f, lo_f, hi_f) = e_ends, f_ends
         if max(span_e + side_min[hi_e - lo_e], span_f + side_min[hi_f - lo_f]) >= best:
-            return
-        worst = min(map(max, spans(span_e, lo_e, hi_e), spans(span_f, lo_f, hi_f)))
+            return unset
+        return min(map(max, spans(span_e, lo_e, hi_e), spans(span_f, lo_f, hi_f)))
+
+    def admit(worst: int, a: int, b: int) -> None:
+        """Lower `best` to `worst`, if that is shorter and the point (a, b)
+        is nondegenerate."""
+        nonlocal best
         if worst < best:
-            v = axpy(u, lam, w)
-            diff = (0,) * start + v[:width] + (0,) * (n - 2 * width - start) + v[width:]
-            if not in_euclidean_dual(code, diff):
+            diff = Polynomial(field, a << start * m | b << (n - width) * m).coeffs
+            if not in_euclidean_dual(code, diff + (0,) * (n - len(diff))):
                 best = worst
 
     def end_logs(x: int, y: int) -> list[int]:
@@ -290,57 +286,44 @@ def rs_image_burst_limit(rs: RsCode) -> RsReport:
         ly = log[y]
         return [log[x ^ exp[s + ly]] for s in range(order)]
 
-    def line(u, w) -> None:
-        """Score the points u + lam * w for lam in GF(q)."""
+    # x^T mod g for the shifts T = width .. n // 2, one per start
+    for start, h in enumerate(islice(_x_powers(code.g), width, n // 2 + 1)):
+        (a0, b0), *second = _window_kernel(rs, h)
+        admit(score(ends(a0), ends(b0)), a0, b0)
+        if not second:
+            continue
+        # r even: the points (a1, b1) + lam * (a0, b0), lam in GF(q)
+        a1, b1 = second[0]
+        da, db = field.doublings(a0), field.doublings(b0)
         special = {0}
         generic_spans = []
         end_pairs = []
-        for side in (0, width):
-            support = [k for k in range(side, side + width) if u[k] or w[k]]
-            for k in (support[0], support[-1]):
-                if u[k] and w[k]:
-                    special.add(exp[log[u[k]] - log[w[k]] + order])  # cancels v_k
-                end_pairs.append((u[k], w[k]))
-            generic_spans.append(m * (support[-1] - support[0]) + 1)
+        for u, w in ((a1, a0), (b1, b0)):
+            lo, hi = bounds(u | w)
+            for k in (lo, hi):
+                x, y = u >> k * m & mask, w >> k * m & mask
+                if x and y:
+                    special.add(exp[log[x] - log[y] + order])  # cancels digit k
+                end_pairs.append((x, y))
+            generic_spans.append(m * (hi - lo) + 1)
         for lam in special:
-            v = axpy(u, lam, w)
-            score(ends(v, 0), ends(v, width), u, lam, w)
+            a, b = a1 ^ _times(da, lam), b1 ^ _times(db, lam)
+            admit(score(ends(a), ends(b)), a, b)
         span_e, span_f = generic_spans
         if max(span_e, span_f) + least >= best:
-            return
+            continue
         logs = zip(exp, *(end_logs(x, y) for x, y in end_pairs))
         for lam, lo_e, hi_e, lo_f, hi_f in logs:
             if lam not in special:
-                score((span_e, lo_e, hi_e), (span_f, lo_f, hi_f), u, lam, w)
-
-    # h = x^T mod g for the shift T = start + width, stepped once per start
-    # by packed shift-and-reduce (g is monic)
-    r, gmul = code.r, code.g._multiples
-    h = 1 << (width - 1) * m
-    for start in range(0, n // 2 - width + 1):
-        h <<= m
-        h ^= gmul[h >> (r * m)]
-        rank_, base = _window_kernel(rs, h)
-        if not hbar - 1 <= rank_ <= hbar and "rank-bound-violated" not in flags:
-            flags.append("rank-bound-violated")
-        if not base:
-            continue
-        first, *rest = base
-        score(ends(first, 0), ends(first, width), first, 0, first)
-        # every other point is, scaled, rest[k] + sum_{i<k} c_i rest[i] + lam b0
-        for k, head in enumerate(rest):
-            for coeffs in product(range(order + 1), repeat=k):
-                u = head
-                for c, vec in zip(coeffs, rest):
-                    u = axpy(u, c, vec)
-                line(u, first)
+                worst = score((span_e, lo_e, hi_e), (span_f, lo_f, hi_f))
+                if worst < best:
+                    admit(worst, a1 ^ _times(da, lam), b1 ^ _times(db, lam))
 
     if best == unset:
-        flags.append("bound-limited")
-        L = qrb
+        L, flags = qrb, ("bound-limited",)
     else:
-        L = best - 1
-    report = RsReport(rs.m, n, rs.K, L, lower, qrb, tuple(flags))
+        L, flags = best - 1, ()
+    report = RsReport(rs.m, n, rs.K, L, lower, qrb, flags)
     if not report.lower <= report.L <= report.qrb_image:
         raise AssertionError(
             f"computed limit {report.L} outside [{report.lower}, {report.qrb_image}]"

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from qburst.polyring import (
     Polynomial,
     _euclid_rows,
     _monic_gcd,
+    _x_powers,
     cyclotomic_cosets,
     divisor_generators,
     factor_xn_minus_1,
@@ -148,6 +150,32 @@ def test_euclid_rows_are_the_extended_euclidean_rows(drawn, w):
     t, b = rows[-1]
     if not b.is_zero:  # the next row's t has degree deg g - deg b
         assert g.degree - b.degree >= w
+
+
+_GF64 = field_make(6)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        P(GF2, 1, 1),
+        P(GF2, 1, 1, 0, 1),
+        P(GF4, 2, 1),
+        P(GF4, 2, 1, 1),
+        P(_GF64, _GF64.alpha, 1),
+        P(_GF64, _GF64.pow(_GF64.alpha, 3), 1) * P(_GF64, _GF64.pow(_GF64.alpha, 60), 1),
+    ],
+    ids=["gf2-deg1", "gf2-deg3", "gf4-deg1", "gf4-deg2", "gf64-deg1", "gf64-deg2"],
+)
+def test_x_powers_are_the_remainders_of_x_pow(g):
+    # g(0) != 0, so the powers of x come round to 1: run twice past that period
+    x = Polynomial.x_pow(g.field, 1)
+    period, power = 1, x % g
+    while power != Polynomial.one(g.field):
+        period, power = period + 1, power * x % g
+    count = 2 * period + 2
+    expected = [(Polynomial.x_pow(g.field, j) % g).bits for j in range(count)]
+    assert list(islice(_x_powers(g), count)) == expected
 
 
 def test_syndrome_rejects_digit_outside_gf4():

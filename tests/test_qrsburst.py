@@ -191,17 +191,23 @@ def test_window_pairs_at_rs_width():
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_euclid_kernel_matches_row_reduction(m):
-    # every window the scan reads, T = start + w <= n // 2: the same rank,
-    # and the two bases stacked have rank dim, so they span one kernel
+    # every window the scan reads, T = start + w <= n // 2: the MDS shape,
+    # 2w - r packed pairs, is the row reduction's kernel dimension, and the
+    # two bases stacked have rank 2w - r, so they span one kernel
     for K in _odd_K(m):
         rs = rs_make(m, K)
         code, n, width = rs.code, rs.n, rs.hbar + 1
+        mask = code.field.q - 1
+
+        def digits(p):
+            return tuple((p >> i * m) & mask for i in range(width))
+
         for start in range(n // 2 - width + 1):
             h = Polynomial.x_pow(code.field, start + width) % code.g
-            rank, base = _window_kernel(rs, h.bits)
-            rank2, pairs = _window_base_pairs(rs, start)
+            base = [digits(a) + digits(b) for a, b in _window_kernel(rs, h.bits)]
+            rank, pairs = _window_base_pairs(rs, start)
             oracle = [e[start : start + width] + f[n - width :] for e, f in pairs]
-            assert rank == rank2 and len(base) == width - rank, (m, K, start)
+            assert len(base) == width - rank == 2 * width - code.r, (m, K, start)
             stacked = MatrixGF.make(code.field, base + oracle)
             assert matrank(stacked) == len(base), (m, K, start)
 
