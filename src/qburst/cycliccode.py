@@ -55,27 +55,21 @@ class CyclicCode:
 
     @cached_property
     def G(self) -> MatrixGF:
-        n, k = self.n, self.k
-        gc = self.g.coeffs
-        rows = []
-        for i in range(k):
-            row = [0] * n
-            for j, c in enumerate(gc):
-                row[i + j] = c
-            rows.append(tuple(row))
-        return MatrixGF(self.field, k, n, tuple(rows))
+        # column j holds g_(j-i) in digit i: rev(g) = sum g_(r-t) x^t, shifted
+        m, r = self.field.m, self.r
+        rev, low = self.g.reciprocal().bits, (1 << (self.k * m)) - 1
+        return MatrixGF(self.field, self.k, tuple(
+            (rev << (j * m) >> (r * m)) & low for j in range(self.n)
+        ))
 
     @cached_property
     def H(self) -> MatrixGF:
-        n, k, r = self.n, self.k, self.r
-        hc = self.h.coeffs
-        rows = []
-        for i in range(r):
-            row = [0] * n
-            for j in range(k + 1):
-                row[i + j] = hc[k - j]
-            rows.append(tuple(row))
-        return MatrixGF(self.field, r, n, tuple(rows))
+        # column c holds h_(k-c+i) in digit i
+        m, k = self.field.m, self.k
+        h, low = self.h.bits, (1 << (self.r * m)) - 1
+        return MatrixGF(self.field, self.r, tuple(
+            (h << (c * m) >> (k * m)) & low for c in range(self.n)
+        ))
 
     @cached_property
     def dual_g(self) -> Polynomial:

@@ -1,64 +1,78 @@
 """Dense matrices over GF(2^m): products, conjugate transpose, row reduction.
 
+A matrix stores only its columns, each one int packed like
+`Polynomial.bits` (entry (i, j) is digit i of column j); the row-major
+`data` is derived.  A product XORs the doublings (`FieldSpec.doublings`)
+of the left factor's columns at the set bits of the right one's entries.
+
 Row reduction keeps track of which original columns are pivots and how
 each non-pivot column decomposes over the pivots; no column permutation
 is ever applied, so callers can translate free columns straight back to
 positions in the parent matrix.
 
-It builds a leftmost-greedy column basis over packed columns.  Column j
-becomes one int with m bits per entry, laid out like `Polynomial.bits`,
-and carries its expression over the pivot columns in the digits above
-the entries.  Each basis vector is scaled so that its lowest nonzero
-entry is 1 and is kept as its doublings x^k * v (`FieldSpec.doublings`,
-the step `Polynomial` multiplies by too).  A column cancels its lowest
-nonzero entry c against the basis vector with that pivot by XORing the
-doublings at the set bits of c, so no row operation makes a field
-multiply per entry.  A column whose lowest nonzero entry has no basis
-vector is outside the span of the earlier columns and becomes a pivot;
-a column that cancels to zero is free, and its expression is its
-combination.
+It builds a leftmost-greedy column basis over the packed columns.  Each
+column carries its expression over the pivot columns in the digits above
+its entries.  Each basis vector is scaled so that its lowest nonzero
+entry is 1 and is kept as its doublings x^k * v (the step `Polynomial`
+multiplies by too).  A column cancels its lowest nonzero entry c against
+the basis vector with that pivot by XORing the doublings at the set bits
+of c, so no row operation makes a field multiply per entry.  A column
+whose lowest nonzero entry has no basis vector is outside the span of
+the earlier columns and becomes a pivot; a column that cancels to zero
+is free, and its expression is its combination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import lshift
+from functools import reduce
+from operator import lshift, xor
 
 from .galois import FieldSpec, _times
+
+
+def _pack(field: FieldSpec, vectors) -> tuple[int, ...]:
+    """Each vector of entries packed into one int, entry i in digit i."""
+    return tuple(sum(map(lshift, v, range(0, len(v) * field.m, field.m))) for v in vectors)
 
 
 @dataclass(frozen=True)
 class MatrixGF:
     field: FieldSpec
     rows: int
-    cols: int
-    data: tuple[tuple[int, ...], ...]  # row-major
+    columns: tuple[int, ...]  # column j packed, row i in digit i
 
     @staticmethod
     def make(field: FieldSpec, rows) -> MatrixGF:
-        data = tuple(tuple(r) for r in rows)
-        ncols = len(data[0]) if data else 0
-        for r in data:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            for v in r:
-                field.check(v)
-        return MatrixGF(field, len(data), ncols, data)
+        data = [tuple(map(field.check, r)) for r in rows]
+        if any(len(r) != len(data[0]) for r in data):
+            raise ValueError("ragged rows")
+        return MatrixGF(field, len(data), _pack(field, zip(*data)))
+
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
+
+    @property
+    def data(self) -> tuple[tuple[int, ...], ...]:
+        """The entries, row-major."""
+        m, mask = self.field.m, self.field.q - 1
+        return tuple(
+            tuple((c >> shift) & mask for c in self.columns)
+            for shift in range(0, self.rows * m, m)
+        )
 
     def submatrix(self, row_stop: int, col_start: int, col_stop: int) -> MatrixGF:
-        data = tuple(row[col_start:col_stop] for row in self.data[:row_stop])
-        return MatrixGF(self.field, row_stop, col_stop - col_start, data)
+        low = (1 << (row_stop * self.field.m)) - 1
+        columns = tuple(c & low for c in self.columns[col_start:col_stop])
+        return MatrixGF(self.field, row_stop, columns)
 
     def transpose(self) -> MatrixGF:
-        data = tuple(zip(*self.data)) if self.rows else tuple(() for _ in range(self.cols))
-        return MatrixGF(self.field, self.cols, self.rows, tuple(tuple(r) for r in data))
+        return MatrixGF(self.field, self.cols, _pack(self.field, self.data))
 
     def conj_transpose(self) -> MatrixGF:
         f = self.field
-        if self.rows == 0:
-            return MatrixGF(f, self.cols, 0, tuple(() for _ in range(self.cols)))
-        data = tuple(tuple(f.conj(v) for v in col) for col in zip(*self.data))
-        return MatrixGF(f, self.cols, self.rows, data)
+        return MatrixGF(f, self.cols, _pack(f, (tuple(map(f.conj, row)) for row in self.data)))
 
     def matmul(self, other: MatrixGF) -> MatrixGF:
         if self.field != other.field:
@@ -66,22 +80,18 @@ class MatrixGF:
         if self.cols != other.rows:
             raise ValueError(f"inner dimensions differ: {self.cols} vs {other.rows}")
         f = self.field
-        ot = other.transpose().data
-        out = []
-        for row in self.data:
-            out_row = []
-            for col in ot:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc ^= f.mul(a, b)
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return MatrixGF(f, self.rows, other.cols, tuple(out))
+        m, mask = f.m, f.q - 1
+        # column j of the product: the columns k of self, scaled by entry (k, j) of other
+        doublings = [f.doublings(c) for c in self.columns]
+        columns = tuple(
+            reduce(xor, (_times(d, (c >> (k * m)) & mask) for k, d in enumerate(doublings)), 0)
+            for c in other.columns
+        )
+        return MatrixGF(f, self.rows, columns)
 
     @property
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
+        return not any(self.columns)
 
 
 def product_is_zero(a: MatrixGF, b: MatrixGF) -> bool:
@@ -107,18 +117,15 @@ def row_reduce(m: MatrixGF) -> ReducedForm:
     f = m.field
     bits, mask = f.m, f.q - 1
     height = m.rows * bits
-    # Column j packed like Polynomial.bits (row i in digit i), with the
-    # expression of the reduced column over the pivot columns in the digits
-    # from `height` up (pivot k in digit k of the expression).
-    shifts = range(0, height, bits)
-    columns = [sum(map(lshift, col, shifts)) for col in zip(*m.data)] or [0] * m.cols
+    # each reduced column carries its expression over the pivot columns in
+    # the digits from `height` up (pivot k in digit k of the expression)
     low = (1 << height) - 1
     # pivot digit -> doublings of the basis vector whose lowest nonzero
     # digit it is, scaled so that digit is 1
     basis: dict[int, list[int]] = {}
     pivot_cols: list[int] = []
     expressions: dict[int, int] = {}
-    for j, vec in enumerate(columns):
+    for j, vec in enumerate(m.columns):
         while vec & low:
             pos = ((vec & -vec).bit_length() - 1) // bits
             doublings = basis.get(pos)

@@ -258,12 +258,12 @@ def _euclid_rows(
 
 
 def _x_powers(g: Polynomial) -> Iterator[int]:
-    """The packed x^0, x^1, x^2, ... modulo the monic g of degree >= 1,
-    without end.  Each power is the one before shifted up a digit, its digit
-    deg g cancelled by one of g's multiples."""
+    """The packed x^0, x^1, x^2, ... modulo the monic g, without end (all
+    0 for g = 1).  Each power is the one before shifted up a digit, its
+    digit deg g cancelled by one of g's multiples."""
     m, multiples = g.field.m, g._multiples
     top = g.degree * m
-    power = 1
+    power = 1 if top else 0
     while True:
         yield power
         power <<= m

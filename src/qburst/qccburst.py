@@ -15,7 +15,9 @@ max(deg a, deg b) over the nonzero pairs of the shift (the shift-register
 view of Matt and Massey, "Determining the burst-correcting limit of
 cyclic codes", IEEE TIT 26(3), 1980).  `_shortest_pair` finds d(T) and
 its minimal pair from one reduction of the columns x^(T+i) mod g and the
-unit vectors, interleaved by degree.  Below r/2 every pair of the shift
+unit vectors, interleaved by degree; the powers enter the matrix packed,
+as `polyring._x_powers` steps them, so no column is ever split into
+digits.  Below r/2 every pair of the shift
 is a polynomial multiple of the minimal one, and the stabilizers form an
 ideal, so that one pair decides every width at T: it is degenerate iff s
 divides e - f.
@@ -96,33 +98,23 @@ def window_pairs(code: CyclicCode, width: int, start: int):
     return reduced.rank, tuple(pairs)
 
 
-def _power_rows(code: CyclicCode) -> list[tuple[int, ...]]:
-    """Row k holds digit k of x^j mod g for j < n (`polyring._x_powers`)."""
-    m, mask, r = code.field.m, code.field.q - 1, code.r
-    powers = islice(_x_powers(code.g), code.n)
-    return list(zip(*([(p >> i * m) & mask for i in range(r)] for p in powers)))
-
-
-def _shortest_pair(code: CyclicCode, power_rows, shift: int, width: int):
+def _shortest_pair(code: CyclicCode, powers: list[int], shift: int, width: int):
     """(d, e, f) for the shift T = `shift`, or None when d(T) >= `width`.
 
     d(T) is the least max(deg a, deg b) over the nonzero pairs with
     x^T a = b (mod g).  One row reduction of the r x 2*width matrix with
-    columns x^(T+i) mod g and the unit vector u_i, interleaved by degree i,
-    finds it: its first free column p gives d = p // 2, and the column's
-    combination is the minimal pair (a, b).  With e = x^(T-d-1) a and
-    f = x^(n-d-1) b, e lies in the window of width d + 1 at start T-d-1
+    columns x^(T+i) mod g = powers[T+i] and the unit vector u_i, interleaved
+    by degree i, finds it: its first free column p gives d = p // 2, and the
+    column's combination is the minimal pair (a, b).  With e = x^(T-d-1) a
+    and f = x^(n-d-1) b, e lies in the window of width d + 1 at start T-d-1
     and f in the last d + 1 positions, and the two have equal syndromes.
     """
-    r, n = code.r, code.n
-    rows = []
-    for k, digits in enumerate(power_rows):
-        row = [0] * (2 * width)
-        row[0::2] = digits[shift:shift + width]
-        if k < width:
-            row[2 * k + 1] = 1
-        rows.append(tuple(row))
-    reduced = row_reduce(MatrixGF(code.field, r, 2 * width, tuple(rows)))
+    r, n, m = code.r, code.n, code.field.m
+    low = (1 << (r * m)) - 1  # u_i is the zero vector when r = 0
+    columns = []
+    for i, power in enumerate(powers[shift:shift + width]):
+        columns += power, (1 << (i * m)) & low
+    reduced = row_reduce(MatrixGF(code.field, r, tuple(columns)))
     if not reduced.free_cols:
         return None
     free_col = reduced.free_cols[0]
@@ -231,11 +223,11 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None, floor: int = 
     flags = ("cap-limited",)
     if L < floor:
         return L, ell0, flags
-    power_rows = _power_rows(code)
+    powers = list(islice(_x_powers(code.g), n))
     for shift in range(1, n // 2 + 1):
         if not limit:
             break
-        found = _shortest_pair(code, power_rows, shift, min(shift, limit))
+        found = _shortest_pair(code, powers, shift, min(shift, limit))
         if found is None:
             continue
         d, e, f = found

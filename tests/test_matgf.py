@@ -1,11 +1,13 @@
 import random
+from itertools import product
+from math import prod
 
 import pytest
 
 from qburst.galois import GF2, GF4, OMEGA, OMEGA_BAR, field_make
 from qburst.matgf import MatrixGF, product_is_zero, rank, row_reduce
 from qburst.cycliccode import code_from_generator
-from qburst.polyring import Polynomial
+from qburst.polyring import Polynomial, divisor_generators, factor_xn_minus_1
 
 
 def _identity(field, n):
@@ -159,3 +161,111 @@ def test_product_is_zero():
     # parity-check matrix of the [5,3]_4 code annihilates its conjugate transpose
     code = code_from_generator(5, Polynomial.make(GF4, (1, OMEGA, 1)))
     assert product_is_zero(code.H, code.H.conj_transpose())
+
+
+def _sparse_entries(rng, field, rows, cols):
+    """Random entries, each nonzero with probability 1/2."""
+    return [[rng.randrange(1, field.q) if rng.randrange(2) else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def test_packed_matrix_matches_entry_definitions():
+    rng = random.Random(24)
+    zero_seen = 0
+    for field in (GF2, GF4, field_make(3)):
+        for _ in range(80):
+            rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+            entries = _sparse_entries(rng, field, rows, cols)
+            m = MatrixGF.make(field, entries)
+            assert (m.rows, m.cols) == (rows, cols)
+            assert m.data == tuple(map(tuple, entries))
+            t = m.transpose()
+            assert (t.rows, t.cols) == (cols, rows)
+            assert all(t.data[j][i] == entries[i][j] for i in range(rows) for j in range(cols))
+            row_stop = rng.randrange(rows + 1)
+            col_start = rng.randrange(cols + 1)
+            col_stop = rng.randrange(col_start, cols + 1)
+            sub = m.submatrix(row_stop, col_start, col_stop)
+            assert (sub.rows, sub.cols) == (row_stop, col_stop - col_start)
+            assert sub.data == tuple(tuple(row[col_start:col_stop]) for row in entries[:row_stop])
+            assert m.is_zero == all(v == 0 for row in entries for v in row)
+            zero_seen += sub.is_zero
+            inner = rng.randrange(1, 5)
+            other_entries = _sparse_entries(rng, field, cols, inner)
+            product = m.matmul(MatrixGF.make(field, other_entries))
+            expected = [[0] * inner for _ in range(rows)]
+            for i in range(rows):
+                for j in range(inner):
+                    for k in range(cols):
+                        expected[i][j] ^= field.mul(entries[i][k], other_entries[k][j])
+            assert (product.rows, product.cols) == (rows, inner)
+            assert product.data == tuple(map(tuple, expected)), (field, entries, other_entries)
+            if field.m > 2:
+                with pytest.raises(ValueError):
+                    m.conj_transpose()
+                continue
+            c = m.conj_transpose()
+            assert (c.rows, c.cols) == (cols, rows)
+            assert all(
+                c.data[j][i] == field.conj(entries[i][j]) for i in range(rows) for j in range(cols)
+            )
+    assert zero_seen > 10
+
+
+def _shape(m):
+    return m.rows, m.cols
+
+
+def test_empty_shapes():
+    for field in (GF2, GF4, field_make(3)):
+        tall = MatrixGF.make(field, [[], [], []])
+        assert _shape(tall) == (3, 0) and tall.data == ((), (), ())
+        wide = tall.transpose()
+        assert _shape(wide) == (0, 3) and wide.data == ()
+        assert _shape(wide.transpose()) == (3, 0)
+        assert _shape(MatrixGF.make(field, [])) == (0, 0)
+        square = _identity(field, 3)
+        assert _shape(square.submatrix(0, 0, 2)) == (0, 2)
+        assert _shape(square.submatrix(2, 1, 1)) == (2, 0)
+        outer = tall.matmul(wide)
+        assert _shape(outer) == (3, 3) and outer.data == ((0, 0, 0),) * 3
+        inner = wide.matmul(square)
+        assert _shape(inner) == (0, 3) and inner.data == ()
+        assert tall.is_zero and wide.is_zero and outer.is_zero
+        if field.m <= 2:
+            assert _shape(tall.conj_transpose()) == (0, 3)
+            assert _shape(wide.conj_transpose()) == (3, 0)
+
+
+def _codes_for_generator_matrices():
+    """Every cyclic code of the odd lengths 5, 7, 9, 15 over GF(2) and
+    GF(4), and of the even length 6: x^6 - 1 = (x^3 - 1)^2, so its monic
+    divisors are the products of the factors of x^3 - 1, each squared at most."""
+    for field in (GF2, GF4):
+        for n in (5, 7, 9, 15):
+            for g in divisor_generators(n, field):
+                yield code_from_generator(n, g)
+        factors = factor_xn_minus_1(3, field)
+        for powers in product(range(3), repeat=len(factors)):
+            g = prod((p for p, k in zip(factors, powers) for _ in range(k)),
+                     start=Polynomial.one(field))
+            yield code_from_generator(6, g)
+
+
+def test_generator_and_check_matrices_match_their_entries():
+    # G[i][j] = g_(j-i) and H[i][i+j] = h_(k-j), every other entry 0
+    checked = even = 0
+    for code in _codes_for_generator_matrices():
+        n, k, r = code.n, code.k, code.r
+        G, H = code.G, code.H
+        assert (G.rows, G.cols, H.rows, H.cols) == (k, n, r, n)
+        assert G.data == tuple(
+            tuple(code.g.coeff(j - i) for j in range(n)) for i in range(k)
+        ), code
+        assert H.data == tuple(
+            tuple(code.h.coeff(k - (c - i)) if 0 <= c - i <= k else 0 for c in range(n))
+            for i in range(r)
+        ), code
+        checked += 1
+        even += n % 2 == 0
+    assert checked > 60 and even >= 8

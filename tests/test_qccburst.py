@@ -1,10 +1,10 @@
-from itertools import product
+from itertools import islice, product
 from math import prod
 
 import pytest
 
 from qburst.galois import GF2, GF4
-from qburst.polyring import Polynomial, divisor_generators, factor_xn_minus_1
+from qburst.polyring import Polynomial, _x_powers, divisor_generators, factor_xn_minus_1
 from qburst.cycliccode import (
     burst_length,
     code_from_generator,
@@ -16,7 +16,6 @@ from qburst import qccburst
 from qburst.qccburst import (
     NotDualContaining,
     _components,
-    _power_rows,
     _shortest_pair,
     brute_force_limit,
     classical_burst_limit,
@@ -157,6 +156,17 @@ def test_generator_of_degree_zero_rejected():
         qcc_burst_limit_css(make2(7, "(1^0)"))
 
 
+def test_classical_limit_of_degree_zero_generator_is_zero():
+    # g = 1 (r = 0): H has no rows, so no column of it is independent and
+    # every single error collides with every other
+    for field in (GF2, GF4):
+        for n in (5, 7, 8):
+            code = code_from_generator(n, Polynomial.one(field))
+            assert code.r == 0 and code.H.rows == 0 and code.H.cols == n
+            assert classical_burst_limit(code) == 0
+            assert list(islice(_x_powers(code.g), n)) == [0] * n
+
+
 def test_generator_count_checked():
     with pytest.raises(ValueError, match="generator"):
         qcc_burst_limit((QUAD5, QUAD5), "hermitian")
@@ -264,10 +274,10 @@ def test_shift_kernel_matches_window_rank_at_every_width():
     for codes, construction in KERNEL_SAMPLE:
         for code, dual_of in _components(codes, construction)[1]:
             n, r = code.n, code.r
-            power_rows = _power_rows(code)
+            powers = list(islice(_x_powers(code.g), n))
             for shift in range(1, n):
                 top = min(shift, n - shift, r)
-                found = _shortest_pair(code, power_rows, shift, top)
+                found = _shortest_pair(code, powers, shift, top)
                 d = top if found is None else found[0]
                 for width in range(1, top + 1):
                     rank, _ = window_pairs(code, width, shift - width)
@@ -381,11 +391,11 @@ def test_mirror_shifts_hold_the_swapped_pairs():
     for codes, construction in KERNEL_SAMPLE:
         for code, dual_of in _components(codes, construction)[1]:
             n, field = code.n, code.field
-            power_rows = _power_rows(code)
+            powers = list(islice(_x_powers(code.g), n))
             for shift in range(1, n):
                 width = min(shift, n - shift, max(code.r // 2, 1))
-                found = _shortest_pair(code, power_rows, shift, width)
-                mirror = _shortest_pair(code, power_rows, n - shift, width)
+                found = _shortest_pair(code, powers, shift, width)
+                mirror = _shortest_pair(code, powers, n - shift, width)
                 assert (found is None) == (mirror is None), (code, shift)
                 if found is None:
                     continue
