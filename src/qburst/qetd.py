@@ -28,15 +28,31 @@ c times a pattern q, whose own walk is c^-1 R_j, c^-1 R_(j+1), ...  So
 one walk decides them all.  Pattern q meets tie k after k - j (mod n)
 shifts, and comparing its decode there with q, rotated back by j, is
 comparing x^-k R_k with x^-j R_j.  A mark byte per pattern keeps each to
-one orbit.  Patterns longer than r, reached only with an explicit lmax
-above r, are not their own syndromes, and get one walk each.
+one orbit.
+
+The walk lists only those registers, and the ties are read off them.  A
+trap of length z at shift k is R_k = x^(r-z) q with q of length z and a
+nonzero lowest digit; x is invertible modulo g and the r - z steps from
+q up to R_k are plain shifts, so q = R_(k-r+z) is on the list.  An
+orbit's shortest trap is no longer than its shortest pattern, so every
+tie is a listed register of the least length z, r - z shifts on, and it
+decodes to that register's own word.  With several ties, one prefix sum
+per class of tie over 2n start positions counts the starts of any
+pattern that pick it.
+
+Patterns longer than r, reached only with an explicit lmax above r, are
+not their own syndromes.  s is a multiple of g, so a pattern's syndrome
+modulo s fixes its syndrome modulo g and with its length every decode:
+they are counted by that syndrome, and each syndrome modulo g is walked
+once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
+from operator import add, itemgetter
 
 from .cycliccode import CyclicCode, burst_count, stabilizer_generator
 from .galois import GF4, _xor_sums
@@ -154,46 +170,47 @@ class _PackedDecoder:
         self.chunks = [_xor_sums([image[(pos + t) % n] for t in range(4)]) for pos in range(n)]
         # c * g packed: XORed in after a shift, it clears an overflow digit c.
         self.gmul = g._multiples
+        # the prefix sums of a lone tie, which every start picks
+        self.ramp = list(range(2 * n + 1))
 
-    def walk(self, packed_s: int, lim: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Walk the registers x^i S mod g, i = 0..n-1, of a packed syndrome S.
-
-        Returns the ties: every shift whose register traps the shortest
-        burst, with that register, in increasing shift order (a zero
-        syndrome decodes to 0, as the single tie (0, 0)).  Also returns
-        every (shift, register) whose register is below ``lim`` and has a
-        nonzero lowest digit.
-        """
-        if not packed_s:
-            return [(0, 0)], []
+    def walk(self, packed_s: int, lim: int) -> list[tuple[int, int]]:
+        """Walk the registers x^i S mod g, i = 0..n-1, of a nonzero packed
+        syndrome S, and return every (shift, register) whose register is
+        below ``lim`` and has a nonzero lowest digit: the patterns on S's
+        orbit with ``lim`` = 4^lmax, and with a ``lim`` of at least 4^z,
+        z the shortest trapped length, the source of every tie (see the
+        module docstring)."""
         n, top_shift, gmul = self.n, 2 * (self.r - 1), self.gmul
-        # a register ties the best one when its stages below the best's
-        # lowest occupied stage are empty, and beats it when that is too
-        tie_mask = beat_mask = 0
-        ties: list[tuple[int, int]] = []
         cur = packed_s
         found = [(0, cur)] if cur & 3 and cur < lim else []
-        for i in range(n):
-            if cur >> top_shift:
-                if not cur & tie_mask:
-                    if cur & beat_mask:
-                        ties.append((i, cur))
-                    else:
-                        low = (cur & -cur).bit_length() - 1 & ~1  # 2 * lowest stage
-                        tie_mask, beat_mask = (1 << low) - 1, (4 << low) - 1
-                        ties = [(i, cur)]
+        for i in range(1, n):
+            top = cur >> top_shift
+            if top:
                 # the top digit c leaves as c * g, whose lowest digit is
                 # nonzero: only here can the next register be a pattern
-                cur = cur << 2 ^ gmul[cur >> top_shift]
+                cur = cur << 2 ^ gmul[top]
                 if cur < lim:
-                    found.append((i + 1, cur))
+                    found.append((i, cur))
             else:
                 cur <<= 2
-        if found and found[-1][0] == n:  # x^n S = S, found at shift 0
-            found.pop()
-        if not ties:
-            raise AssertionError("nonzero syndrome never reached the top stage")
-        return ties, found
+        return found
+
+    def _tie_bound(self, found: list[tuple[int, int]]) -> tuple[int, int]:
+        """(bound, lift) for a walk's ``found`` registers, which hold every
+        shortest trap's source: the registers below ``bound`` are the
+        sources, and each is trapped ``lift`` = r - z shifts later."""
+        z2 = min(map(itemgetter(1), found)).bit_length() + 1 & ~1  # 2z
+        return 1 << z2, self.r - z2 // 2
+
+    def ties(self, packed_s: int) -> list[tuple[int, int]]:
+        """The ties of a packed syndrome: every (shift, word) whose register
+        traps the shortest burst, in increasing shift order (a zero
+        syndrome decodes to 0, as the single tie (0, 0))."""
+        if not packed_s:
+            return [(0, 0)]
+        found = self.walk(packed_s, 1 << 2 * self.r)
+        bound, lift = self._tie_bound(found)
+        return sorted(((j + lift) % self.n, self.word(j, reg)) for j, reg in found if reg < bound)
 
     def word(self, shift: int, trapped: int) -> int:
         """Packed decoded word of a register trapped after ``shift``
@@ -210,14 +227,18 @@ class _PackedDecoder:
     def orbits(self, lmax: int):
         """Every pattern with first digit 1 and length up to lmax <= r, one
         syndrome orbit at a time (see the module docstring): yields the
-        orbit's ties and its unmarked patterns, each as (shift, length,
-        word), the word being its register rotated back by its shift."""
+        orbit's ties, as (shift, word), and its unmarked patterns, as
+        (shift, length, word), each word being a register rotated back by
+        its shift."""
+        n = self.n
         lim = 1 << 2 * lmax
         digit_bits = lim // 3  # the low bit of every digit
         marks = bytearray(lim >> 2)  # indexed by pattern >> 2: first digit 1
         idx = 0
         while idx >= 0:
-            ties, found = self.walk(idx << 2 | 1, lim)
+            found = self.walk(idx << 2 | 1, lim)
+            bound, lift = self._tie_bound(found)
+            ties = []
             members = []
             for j, reg in found:
                 pattern = reg
@@ -225,50 +246,67 @@ class _PackedDecoder:
                     a, b = reg & digit_bits, reg >> 1 & digit_bits
                     # (a + bw) w^2 = (a + b) + aw and (a + bw) w = b + (a + b)w
                     pattern = a ^ b | a << 1 if reg & 3 == 2 else b | (a ^ b) << 1
-                if marks[pattern >> 2]:
-                    continue
-                marks[pattern >> 2] = 1
-                # below r <= deg s a register is its own syndrome modulo s
-                word = self.word(j, reg) if j else reg | reg << 2 * self.n
-                members.append((j, (pattern.bit_length() + 1) // 2, word))
+                fresh = not marks[pattern >> 2]
+                if fresh or reg < bound:
+                    # below r <= deg s a register is its own syndrome modulo s
+                    word = self.word(j, reg) if j else reg | reg << 2 * n
+                    if fresh:
+                        marks[pattern >> 2] = 1
+                        members.append((j, (pattern.bit_length() + 1) // 2, word))
+                    if reg < bound:
+                        # a source m <= r - z shifts before the walk's start
+                        # would make the start x^m q, whose lowest digit is
+                        # 0: so no tie wraps round, and they come in order
+                        ties.append((j + lift, word))
             yield ties, members
             idx = marks.find(0, idx + 1)
 
-    def singles(self, lengths):
-        """The same for every pattern with first digit 1 of the given
-        lengths, one walk each: the path for lengths above r, where a
-        pattern is not its own syndrome."""
-        low = (1 << self.top) - 1
-        for length in lengths:
-            for acc in _unit_bursts(self.table, length):
-                ties, _ = self.walk(acc >> self.top, 0)
-                yield ties, [(0, length, acc & low)]
+    def summary(self, ties: list[tuple[int, int]]) -> tuple[dict, dict]:
+        """Prefix sums over the start positions u = 0..2n-1, where u picks
+        the first tie at a shift k >= u mod n (wrapping round): of the
+        starts that pick a tie of each syndrome class modulo s (a word's
+        bits from 2n up), and of the starts that pick each tie word.  The
+        starts u..v-1 pick a tie of class c in ``by_class[c][v] -
+        by_class[c][u]`` of them."""
+        n = self.n
+        if len(ties) == 1:
+            ((_, word),) = ties
+            return {word >> 2 * n: self.ramp}, {word: self.ramp}
+        # tie i is picked by the positions after the tie before it, up to
+        # its own shift; the first tie also by those after the last
+        runs = []
+        prev = -1
+        for i, (k, _) in enumerate(ties):
+            runs.append((i, k - prev))
+            prev = k
+        runs = (runs + [(0, n - 1 - prev)]) * 2
+
+        by_word = {}
+        for word in {word for _, word in ties}:
+            sums = [0]
+            for i, length in runs:
+                if ties[i][1] == word:
+                    sums += range(sums[-1] + 1, sums[-1] + length + 1)
+                else:
+                    sums += [sums[-1]] * length
+            by_word[word] = sums
+        by_class: dict[int, list[int]] = {}
+        for word, sums in by_word.items():
+            other = by_class.get(word >> 2 * n)
+            by_class[word >> 2 * n] = sums if other is None else list(map(add, other, sums))
+        return by_class, by_word
 
     def tally(self, orbits) -> tuple[int, int, int]:
-        """(N, N_0, N_D) over every start 0..n-length of the patterns that
+        """(N, N0, ND) over every start 0..n-length of the patterns that
         ``orbits`` yields."""
         n = self.n
         s_syndrome = 1 << 2 * n  # lowest bit of the syndrome modulo s
         total = exact = decoded = 0
         for ties, members in orbits:
-            words = [self.word(k, reg) for k, reg in ties]
-            shifts = [k for k, _ in ties] if len(ties) > 1 else None
-            for j, length, e in members:
-                last = n - length
-                if shifts is None:  # every start picks the one tie
-                    picks = ((last + 1, words[0]),)
-                else:
-                    # the pattern at shift j meets tie k after k - j shifts
-                    # (mod n): starts prev+1..k pick tie k, and those after
-                    # the last tie wrap round to the first
-                    i = bisect_left(shifts, j)
-                    rel = [k - j for k in shifts[i:]] + [k + n - j for k in shifts[:i]]
-                    counts = [
-                        min(k, last) - prev for prev, k in zip([-1] + rel, rel) if prev < last
-                    ]
-                    counts[0] += max(0, last - rel[-1])
-                    picks = zip(counts, words[i:] + words[:i])
-                for count, word in picks:
+            if len(ties) == 1:  # every start picks the one tie
+                ((_, word),) = ties
+                for _, length, e in members:
+                    count = n - length + 1
                     total += count
                     # below bit 2n: ehat - e; above it: their syndromes modulo s, XORed
                     miss = word ^ e
@@ -276,6 +314,60 @@ class _PackedDecoder:
                         decoded += count
                         if not miss:
                             exact += count
+                continue
+            # the pattern at shift j, started at t, meets the orbit's
+            # registers from shift j + t on: its starts are positions
+            # j..j+count-1 of the summary
+            by_class, by_word = self.summary(ties)
+            for j, length, e in members:
+                end = j + n - length + 1
+                total += end - j
+                picked = by_class.get(e >> 2 * n)
+                if picked:
+                    decoded += picked[end] - picked[j]
+                    picked = by_word.get(e)
+                    if picked:
+                        exact += picked[end] - picked[j]
+        return total, exact, decoded
+
+    def by_syndrome(self, lengths) -> tuple[int, int, int]:
+        """(N, N0, ND) over every start of every pattern with first digit 1
+        of the given lengths, one walk per syndrome modulo g: the path for
+        lengths above r, where a pattern is not its own syndrome.
+
+        s is a multiple of g, so a pattern's syndrome modulo s fixes its
+        syndrome modulo g, and with its length its decodes at every start:
+        the patterns are counted by that key, and each syndrome modulo g
+        is walked and summarized once.  A pattern decodes exactly only
+        where it is the tie word picked, so N0 is read off the tie words
+        that are themselves patterns of one of the lengths."""
+        n = self.n
+        lengths = set(lengths)
+        s_bits = self.top - 2 * n  # the key's bits below the syndrome modulo g
+        summaries: dict[int, dict[int, list[int]]] = {}
+        total = exact = decoded = 0
+        for length in lengths:
+            count = n - length + 1
+            heads, tails = (
+                [word >> 2 * n for word in half] for half in _burst_halves(self.table, length)
+            )
+            keys: Counter[int] = Counter()
+            for head in heads:
+                keys.update(map(head.__xor__, tails))
+            for key, patterns in keys.items():
+                total += patterns * count
+                by_class = summaries.get(key >> s_bits)
+                if by_class is None:
+                    by_class, by_word = self.summary(self.ties(key >> s_bits))
+                    summaries[key >> s_bits] = by_class
+                    for word, picked in by_word.items():
+                        digits = word & (1 << 2 * n) - 1
+                        span = (digits.bit_length() + 1) // 2
+                        if digits & 3 == 1 and span in lengths:
+                            exact += picked[n - span + 1]
+                picked = by_class.get(key & (1 << s_bits) - 1)
+                if picked:
+                    decoded += patterns * picked[count]
         return total, exact, decoded
 
 
@@ -284,14 +376,14 @@ def _position_syndrome_tables(n: int, modulus: Polynomial) -> list[list[int]]:
     return [Polynomial(GF4, p)._multiples for p in islice(_x_powers(modulus), n)]
 
 
-def _unit_bursts(table: list[list[int]], length: int):
-    """Packed words at start 0 of every burst of this length whose first
-    digit is 1 (and, past length 1, whose last digit is nonzero).  Each is
-    a head (the first half of the digits) XOR a tail, so the lists held
-    are about the square root of the pattern count."""
+def _burst_halves(table: list[list[int]], length: int) -> tuple[list[int], list[int]]:
+    """Packed words at start 0 of the bursts of this length whose first
+    digit is 1 (and, past length 1, whose last digit is nonzero), as heads
+    (every choice of the first half of the digits) and tails (of the
+    rest): each burst is one head XOR one tail, so the lists held are
+    about the square root of the burst count."""
     rows = [table[0][1:2], *table[1 : length - 1], table[length - 1][1:]][:length]
-    heads, tails = _xor_sums(rows[: (length + 1) // 2]), _xor_sums(rows[(length + 1) // 2 :])
-    return (head ^ tail for head in heads for tail in tails)
+    return _xor_sums(rows[: (length + 1) // 2]), _xor_sums(rows[(length + 1) // 2 :])
 
 
 def burst_census(
@@ -313,9 +405,10 @@ def burst_census(
     and Z both are).  Raises
     NotDualContaining when the code admits no quantum construction.
     One walk of each syndrome orbit decides every pattern of length up to
-    r on it, at every start, and its GF(4) multiples; a longer pattern,
-    only reached with an explicit lmax above r, gets a walk of its own
-    (see the module docstring).
+    r on it, at every start, and its GF(4) multiples; longer patterns,
+    only reached with an explicit lmax above r, are counted by syndrome
+    modulo s, with one walk per syndrome modulo g (see the module
+    docstring).
     """
     K, ((code, dual_of),) = _components(code, construction)
     n = code.n
@@ -329,10 +422,10 @@ def burst_census(
 
     decoder = _PackedDecoder(code, dual_of)
     short = min(lmax, decoder.r)
-    counts = decoder.tally(
-        chain(decoder.orbits(short), decoder.singles(range(short + 1, lmax + 1)))
+    counts = zip(
+        decoder.tally(decoder.orbits(short)), decoder.by_syndrome(range(short + 1, lmax + 1))
     )
-    total, exact, decoded = (3 * count for count in counts)
+    total, exact, decoded = (3 * (orbit + long) for orbit, long in counts)
     if total != total_expected:
         raise AssertionError("census enumeration does not match the closed form")
     return QetdStats(n, K, lmax, total, exact, decoded)

@@ -21,6 +21,7 @@ from qburst.qetd import (
     QetdStats,
     _PackedDecoder,
     _position_syndrome_tables,
+    _trap_search,
     burst_census,
     trap_decode,
 )
@@ -369,10 +370,11 @@ def _x_order(code):
 
 
 def test_orbit_census_matches_per_pattern_walk():
-    # the orbit walk against the per-pattern walk that lengths above r take,
-    # driven here at lengths up to r: every dual-containing code of both
-    # fields with odd n <= 21 and r <= 8, at every lmax 1..r (the twelve
-    # r = 9 codes of n = 21 would add about 10 s).  A code whose x-order is
+    # the orbit walk against the per-syndrome count that lengths above r
+    # take, driven here one length at a time up to r: every dual-containing
+    # code of both fields with odd n <= 21 and r <= 8, at every lmax 1..r
+    # (the twelve r = 9 codes of n = 21 would add several seconds), and each
+    # orbit's ties against those of its start.  A code whose x-order is
     # below n meets each pattern more than once per walk, and an orbit with
     # several ties counts its patterns' starts by interval
     short_order = multi_tie = False
@@ -384,16 +386,99 @@ def test_orbit_census_matches_per_pattern_walk():
                 if code.r > 8:
                     continue
                 decoder = _PackedDecoder(code, dual_of)
-                singles = (0, 0, 0)
+                per_syndrome = (0, 0, 0)
                 for lmax in range(1, code.r + 1):
-                    singles = tuple(map(add, singles, decoder.tally(decoder.singles([lmax]))))
+                    per_syndrome = tuple(map(add, per_syndrome, decoder.by_syndrome([lmax])))
                     orbits = list(decoder.orbits(lmax))
                     multi_tie |= any(len(ties) > 1 for ties, _ in orbits)
-                    assert decoder.tally(orbits) == singles, (code, construction, lmax)
+                    for ties, members in orbits:
+                        # the first member is the walk's start, at shift 0
+                        start = members[0][2] & (1 << 2 * n) - 1
+                        assert decoder.ties(start) == ties, (code, construction, start)
+                    assert decoder.tally(orbits) == per_syndrome, (code, construction, lmax)
                     rows += 1
                 short_order |= _x_order(code) < n
     assert short_order and multi_tie
     assert rows == 300
+
+
+def _unpack(word, n):
+    """The n digits packed two bits each in the low bits of a word."""
+    return tuple(word >> 2 * i & 3 for i in range(n))
+
+
+def test_derived_ties_match_polynomial_walk():
+    # the decoder reads each tie off a register of its walk that holds a
+    # shortest trap's burst at its lowest stage; checked against the
+    # polynomial decoder on the GF(4)-lifted code, and against every
+    # register x^i S mod g with its top stage occupied and a trap of the
+    # shortest length, for seeded random syndromes of every dual-containing
+    # code of both fields with odd n <= 21
+    rng = random.Random(53)
+    x = Polynomial.x_pow(GF4, 1)
+    short_order = multi_tie = False
+    checked = 0
+    for field, construction in ((GF4, "hermitian"), (GF2, "css")):
+        for n in range(3, 22, 2):
+            for g in dual_containing_generators(n, field):
+                _, ((code, dual_of),) = _components(code_from_generator(n, g), construction)
+                lifted = code_from_generator(n, Polynomial.make(GF4, code.g.coeffs))
+                decoder = _PackedDecoder(code, dual_of)
+                r = code.r
+                for _ in range(20):
+                    digits = [0] * r
+                    while not any(digits):
+                        digits = [rng.randrange(4) for _ in range(r)]
+                    S = Polynomial.make(GF4, digits)
+                    z, v = _trap_search(S, lifted)
+                    ties = decoder.ties(sum(d << 2 * i for i, d in enumerate(digits)))
+                    assert ties[0][0] == v, (code, digits)
+                    assert _unpack(ties[0][1], n) == trap_decode(S, lifted), (code, digits)
+                    # every tie, hence the trapped length z too
+                    expected = []
+                    reg = S
+                    for i in range(n):
+                        low = next(j for j, c in enumerate(reg.coeffs) if c)
+                        if reg.coeff(r - 1) and r - low == z:
+                            word = [0] * n
+                            for j, c in enumerate(reg.coeffs):
+                                word[(j - i) % n] = c
+                            expected.append((i, tuple(word)))
+                        reg = (reg * x) % lifted.g
+                    assert [(k, _unpack(word, n)) for k, word in ties] == expected, (code, digits)
+                    multi_tie |= len(ties) > 1
+                    checked += 1
+                short_order |= _x_order(code) < n
+    assert short_order and multi_tie
+    assert checked == 20 * 78
+
+
+def test_long_pattern_census_matches_oracle():
+    # lengths above r take the per-syndrome count: at lmax = r + 1 and
+    # r + 2, on the first dual-containing code of each degree r <= 4 with
+    # n in 5, 7, 15, 17, of both fields, where some syndromes have
+    # several ties
+    multi_tie = False
+    checked = 0
+    for field, construction in ((GF4, "hermitian"), (GF2, "css")):
+        for n in (5, 7, 15, 17):
+            degrees = set()
+            for g in dual_containing_generators(n, field):
+                code = code_from_generator(n, g)
+                _, ((component, dual_of),) = _components(code, construction)
+                r = component.r
+                if r > 4 or r in degrees:
+                    continue
+                degrees.add(r)
+                for lmax in (r + 1, r + 2):
+                    stats = burst_census(code, construction, lmax=lmax)
+                    got = (stats.total, stats.exact, stats.decoded)
+                    assert got == _census_oracle(code, lmax), (code, construction, lmax)
+                    checked += 1
+                decoder = _PackedDecoder(component, dual_of)
+                multi_tie |= any(len(decoder.ties(S)) > 1 for S in range(1, 1 << 2 * r))
+    assert multi_tie
+    assert checked == 14
 
 
 def test_census_codeword_bursts_match_oracle():
