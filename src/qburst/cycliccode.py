@@ -126,7 +126,8 @@ def _orbit_key(g: Polynomial) -> int:
     conj(rev(g)).  Reversing positions and conjugating digits keep burst
     lengths and commute with `_partner`, so the codes of one key share K
     and every burst limit (conj is the identity over GF(2))."""
-    return min(p.bits for p in (g, g.conjugate(), g.reciprocal().monic(), _partner(g)))
+    rev = g.reciprocal().monic()
+    return min(p.bits for p in (g, g.conjugate(), rev, rev.conjugate()))
 
 
 def stabilizer_generator(dual_of: CyclicCode) -> Polynomial:

@@ -44,12 +44,12 @@ Patterns longer than r, reached only with an explicit lmax above r, are
 not their own syndromes.  s is a multiple of g, so a pattern's syndrome
 modulo s fixes its syndrome modulo g and with its length every decode:
 they are counted by that syndrome, and each syndrome modulo g is walked
-once.
+once.  x^1 .. x^(deg s) are a basis modulo s, so each length is counted
+from at most 3 * 4^(deg s) weighted keys, not one per pattern.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from operator import add, itemgetter
@@ -330,6 +330,17 @@ class _PackedDecoder:
                         exact += picked[end] - picked[j]
         return total, exact, decoded
 
+    def pattern_keys(self, length: int):
+        """Yield (key, weight): each key, a word's bits from 2n up, stands for
+        ``weight`` of the patterns of this length with first digit 1, and
+        each pattern's key is counted once (see ``by_syndrome``).  Keys are
+        heads XOR tails, two lists about the square root of the key count."""
+        middle = min(length - 2, self.top // 2 - self.n)  # at most deg s digits
+        rows = [self.table[0][1:2], *self.table[1 : middle + 1], self.table[length - 1][1:]]
+        heads, tails = ([w >> 2 * self.n for w in _xor_sums(rows[i:length:2])] for i in (0, 1))
+        weight = 4 ** (length - 2 - middle)
+        yield from ((head ^ tail, weight) for head in heads for tail in tails)
+
     def by_syndrome(self, lengths) -> tuple[int, int, int]:
         """(N, N0, ND) over every start of every pattern with first digit 1
         of the given lengths, one walk per syndrome modulo g: the path for
@@ -338,9 +349,12 @@ class _PackedDecoder:
         s is a multiple of g, so a pattern's syndrome modulo s fixes its
         syndrome modulo g, and with its length its decodes at every start:
         the patterns are counted by that key, and each syndrome modulo g
-        is walked and summarized once.  A pattern decodes exactly only
-        where it is the tie word picked, so N0 is read off the tie words
-        that are themselves patterns of one of the lengths."""
+        is walked and summarized once.  A pattern of length L > 1 is
+        1 + c x^(L-1) + x m, and x^1 .. x^(deg s) are a basis modulo s, so
+        ``pattern_keys`` keeps m's first min(L - 2, deg s) digits and
+        weights each key by the 4^(L-2-deg s) middles it stands for.  A
+        pattern decodes exactly only where it is the tie word picked, so
+        N0 is read off the tie words that are patterns of the lengths."""
         n = self.n
         lengths = set(lengths)
         s_bits = self.top - 2 * n  # the key's bits below the syndrome modulo g
@@ -348,13 +362,7 @@ class _PackedDecoder:
         total = exact = decoded = 0
         for length in lengths:
             count = n - length + 1
-            heads, tails = (
-                [word >> 2 * n for word in half] for half in _burst_halves(self.table, length)
-            )
-            keys: Counter[int] = Counter()
-            for head in heads:
-                keys.update(map(head.__xor__, tails))
-            for key, patterns in keys.items():
+            for key, patterns in self.pattern_keys(length):
                 total += patterns * count
                 by_class = summaries.get(key >> s_bits)
                 if by_class is None:
@@ -374,16 +382,6 @@ class _PackedDecoder:
 def _position_syndrome_tables(n: int, modulus: Polynomial) -> list[list[int]]:
     """tables[pos][digit] = packed digit * x^pos modulo a monic GF(4) polynomial."""
     return [Polynomial(GF4, p)._multiples for p in islice(_x_powers(modulus), n)]
-
-
-def _burst_halves(table: list[list[int]], length: int) -> tuple[list[int], list[int]]:
-    """Packed words at start 0 of the bursts of this length whose first
-    digit is 1 (and, past length 1, whose last digit is nonzero), as heads
-    (every choice of the first half of the digits) and tails (of the
-    rest): each burst is one head XOR one tail, so the lists held are
-    about the square root of the burst count."""
-    rows = [table[0][1:2], *table[1 : length - 1], table[length - 1][1:]][:length]
-    return _xor_sums(rows[: (length + 1) // 2]), _xor_sums(rows[(length + 1) // 2 :])
 
 
 def burst_census(

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from itertools import combinations
 from operator import add
 
 import pytest
 
-from qburst.galois import GF2, GF4, OMEGA
+from qburst.galois import GF2, GF4, OMEGA, _xor_sums
 from qburst.polyring import Polynomial, divisor_generators
 from qburst.cycliccode import (
     _burst_patterns,
@@ -479,6 +480,35 @@ def test_long_pattern_census_matches_oracle():
                 multi_tie |= any(len(decoder.ties(S)) > 1 for S in range(1, 1 << 2 * r))
     assert multi_tie
     assert checked == 14
+
+
+def test_pattern_keys_match_per_pattern_keys():
+    # lengths above r count weighted keys with the pattern's middle cut to
+    # deg s digits; as a multiset they must be every pattern's own key, one
+    # per pattern: every dual-containing code of both fields with odd
+    # n <= 13, at every length 1..n up to deg s + 3 (every length for
+    # n <= 9), where past deg s + 2 four middles stand behind each key
+    cut = False
+    checked = 0
+    for field, construction in ((GF4, "hermitian"), (GF2, "css")):
+        for n in range(3, 14, 2):
+            for g in dual_containing_generators(n, field):
+                _, ((code, dual_of),) = _components(code_from_generator(n, g), construction)
+                decoder = _PackedDecoder(code, dual_of)
+                table = decoder.table
+                s_degree = stabilizer_generator(dual_of).degree
+                for length in range(1, min(n, s_degree + 3) + 1):
+                    # every pattern with first digit 1 and last digit nonzero
+                    rows = [table[0][1:2], *table[1 : length - 1], table[length - 1][1:]]
+                    expected = Counter(word >> 2 * n for word in _xor_sums(rows[:length]))
+                    got = Counter()
+                    for key, weight in decoder.pattern_keys(length):
+                        got[key] += weight
+                        cut |= weight > 1
+                    assert got == expected, (code, construction, length)
+                    checked += 1
+    assert cut
+    assert checked == 58
 
 
 def test_census_codeword_bursts_match_oracle():
