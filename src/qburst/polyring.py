@@ -6,11 +6,12 @@ multiples c * p of one operand; each polynomial computes its q multiples
 once, for all of its coefficients at a time, from the doublings x^j * p
 of `FieldSpec.doublings`, and keeps them.  A scaling by one c XORs the
 doublings at the set bits of c, so it never builds the q multiples.
-One packed long division (`_divide`) serves `divmod`, the gcds of the
-factorization (`_monic_gcd`) and the extended Euclidean rows
-(`_euclid_rows`), whose divisors, each used once, are scaled from their
-doublings.  The powers x^j modulo a monic g (`_x_powers`) are stepped by
-one shift-and-reduce each, with no division.
+One packed long division (`_divide`) serves `divmod` and the gcds of the
+factorization (`_monic_gcd`), whose divisors, each used once, are scaled
+from their doublings.  The powers x^j modulo a monic g (`_x_powers`) are
+stepped by one shift-and-reduce each, and the weak Popov bases of the
+pairs x^T a = b (mod g) (`_shift_bases`) by a few cancellations of a
+leading term each, neither with a division.
 
 x^n - 1 (n coprime to q) is factored over the base field itself by
 Berlekamp splitting.  The coset sums b_C = sum_{j in C} x^j, one per
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import product
+from itertools import count, product
 from math import gcd, prod
 from typing import Callable, Iterator
 
@@ -230,31 +231,50 @@ def _divide(
     return quot, rem
 
 
-def _euclid_rows(
-    field: FieldSpec, g: int, h: int, w: int
-) -> Iterator[tuple[int, int]]:
-    """The rows (t_i, b_i) of the extended Euclidean algorithm on the packed
-    g and h (deg h < deg g), from (1, h) on, while deg t_i < w.
+def _shift_bases(
+    field: FieldSpec, g: int, start: int
+) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """Weak Popov bases ((a1, b1), (a2, b2)) of M_T = {(a, b) : x^T a = b
+    (mod g)} over the packed monic g, for T = start, start + 1, ... on end.
 
-    Each row has b_i = t_i * h (mod g); deg t rises and deg b falls from row
-    to row, and two consecutive rows span every such pair (rational
-    reconstruction: von zur Gathen and Gerhard, "Modern Computer Algebra",
-    ch. 5).  A row is one packed int, b above t (deg t <= deg g stays below
-    b's lowest digit), so the long division of b_{i-1} by b_i carries each
-    quotient term into t in the same XOR: what is left is the next row.
-    Each divisor row is used once, so it is scaled from its m doublings
-    (`_times`), never from the q multiples.
+    A row's degree is max(deg a, deg b); its pivot is b when deg b >= deg a,
+    else a.  The pivots differ, so every pair of M_T is u1 R1 + u2 R2 of
+    degree max(deg u1 + deg R1, deg u2 + deg R2), and the row degrees sum
+    to deg g (Mulders and Storjohann, J. Symbolic Comput. 35(4), 2003).
+    M_(T+1) = {(a, b) : (x a, b) in M_T}: with p a row whose a(0) is nonzero
+    (the lower degree one if both are) and o the other row cleared of its
+    a(0) by p, it is spanned by (a_p, x b_p) and (a_o / x, b_o), which a few
+    cancellations of a leading term by a shifted multiple of the other row
+    bring back to weak Popov form.  A row is one packed int, b above a
+    (deg a <= deg g), so one scaling is one `_times`.
     """
-    m = field.m
-    low = -(-g.bit_length() // m) * m  # the digits 0 .. deg g hold t
-    t_mask = (1 << low) - 1
-    before, row = g << low, h << low | 1
-    while (row & t_mask).bit_length() <= w * m:
-        yield row & t_mask, row >> low
-        if not row >> low:
-            return
-        _, rest = _divide(field, before, row, partial(_times, field.doublings(row)))
-        before, row = row, rest
+    m, mask = field.m, field.q - 1
+    low = -(-g.bit_length() // m) * m  # the digits 0 .. deg g hold a
+    a_mask = (1 << low) - 1
+    top = 1 << low - m  # x^deg g
+    r1, r2 = 1 << low | 1, (g ^ top) << low | top  # (1, 1) and (x^r, g - x^r)
+
+    def lead(row: int) -> tuple[int, int]:
+        """(degree, bit offset of the pivot's leading digit) of a row."""
+        da = -(-(row & a_mask).bit_length() // m)
+        db = -(-(row >> low).bit_length() // m)
+        return (db - 1, low + (db - 1) * m) if db >= da else (da - 1, (da - 1) * m)
+
+    for shift in count():
+        (d1, at1), (d2, at2) = lead(r1), lead(r2)
+        while (at1 >= low) == (at2 >= low):  # one pivot column: cancel a lead
+            if d1 < d2:
+                r1, r2, d1, at1, d2, at2 = r2, r1, d2, at2, d1, at1
+            c = field.mul(r1 >> at1 & mask, field.inv(r2 >> at2 & mask))
+            r1 ^= _times(field.doublings(r2), c) << (d1 - d2) * m
+            d1, at1 = lead(r1)
+        if shift >= start:
+            yield (r1 & a_mask, r1 >> low), (r2 & a_mask, r2 >> low)
+        if not r1 & mask or r2 & mask and d2 < d1:
+            r1, r2 = r2, r1
+        if r2 & mask:
+            r2 ^= _times(field.doublings(r1), field.mul(r2 & mask, field.inv(r1 & mask)))
+        r1, r2 = r1 >> low << low + m | r1 & a_mask, r2 >> low << low | (r2 & a_mask) >> m
 
 
 def _x_powers(g: Polynomial) -> Iterator[int]:

@@ -37,7 +37,7 @@ only the shifts T = 1 .. n // 2 (T = n/2, at even n, is its own mirror).
 
 `window_pairs` keeps the window row reduction itself as an oracle: the
 tests check the shift kernel and the Reed-Solomon window kernel
-(`qrsburst`, by extended Euclid at width hbar + 1, above r/2) against it.
+(`qrsburst`, by a shift basis at width hbar + 1, above r/2) against it.
 
 An exhaustive pair enumeration over canonical burst patterns provides an
 independent oracle for small lengths.

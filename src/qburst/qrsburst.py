@@ -13,9 +13,11 @@ A window of width w at start s holds the pairs e = x^s a, f = x^(n-w) b
 with deg a, deg b < w and x^T a = b (mod g), T = s + w.  The code is MDS,
 so these pairs form a space of dimension exactly 2w - r (MacWilliams and
 Sloane, ch. 11): one pair when r is odd and two when r is even, with
-w = hbar + 1.  `_window_kernel` reads them off the extended Euclidean
-rows of (g, x^T mod g) as packed pairs (a, b), with no row reduction;
-x^T mod g comes from `polyring._x_powers`, one shift-and-reduce a start.
+w = hbar + 1.  `_window_kernel` reads them off a weak Popov basis of the
+module M_T = {(a, b) : x^T a = b (mod g)} as packed pairs (a, b), with no
+row reduction.  `polyring._shift_bases` carries that basis from one start
+to the next (M_(T+1) = {(a, b) : (x a, b) in M_T}) in a few operations on
+its two rows, so no start reruns a Euclidean algorithm.
 
 The kernel is scanned by projective points {c * v : c != 0}, each once
 (b0, then the line b1 + lam * b0), and that is exact: degeneracy is
@@ -36,13 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from operator import sub
 
 from .cycliccode import CyclicCode, code_from_generator, in_euclidean_dual
 from .galois import FieldSpec, SelfDualBasis, _times, field_make, self_dual_basis
 from .matgf import row_reduce  # noqa: F401  perfbench's tracer patches this binding
-from .polyring import Polynomial, _euclid_rows, _x_powers
+from .polyring import Polynomial, _shift_bases
 from .qccburst import NotDualContaining, window_pairs
 
 
@@ -103,6 +104,8 @@ def rs_make(
     """
     field = field_make(m)
     n = field.q - 1
+    if n - 4 < 1:
+        raise ValueError(f"GF(2^{m}) with m < 3 has no quantum RS code: n - 4 = {n - 4} < 1")
     if (n + K_quantum) % 2 != 0:
         raise ValueError(
             f"no integral classical dimension: n={n}, K={K_quantum} have unequal parity"
@@ -164,26 +167,22 @@ def _window_base_pairs(rs: RsCode, start: int):
     return window_pairs(rs.code, rs.hbar + 1, start)
 
 
-def _window_kernel(rs: RsCode, h: int) -> list[tuple[int, int]]:
+def _window_kernel(rs: RsCode, rows) -> list[tuple[int, int]]:
     """The 2w - r basis pairs (a, b), packed, of the width-w window
-    (w = hbar + 1) at the shift T whose packed h = x^T mod g is given.
+    (w = hbar + 1) at the shift T whose weak Popov rows are given
+    (`polyring._shift_bases`).
 
-    The kernel is the pairs with deg a, deg b < w and b = x^T a (mod g).
-    The extended Euclidean rows (t, b) of (g, h) have max(deg t, deg b)
-    falling to a least value and rising again.  The two consecutive rows
-    about that least value span every pair, and their leading digits are
-    independent, so c * row + c' * row' has the larger of the degrees of
-    its two terms: a pair of the window is such a sum with
-    deg c < w - max(deg t, deg b).  The kernel basis is {x^u * row : u < w -
-    max(deg t, deg b)} over the rows with that maximum below w.  The code
-    is MDS, so there are exactly 2w - r of them (module docstring); the scan
-    relies on that shape, so any other count stops it.
+    The kernel is the pairs of M_T with deg a, deg b < w.  A pair of M_T is
+    u1 R1 + u2 R2 with the larger of the degrees deg u_i + deg R_i, so the
+    kernel basis is {x^u * R_i : u < w - deg R_i}.  The code is MDS, so
+    there are exactly 2w - r of them (module docstring); the scan relies on
+    that shape, so any other count stops it.
     """
     m, width = rs.m, rs.hbar + 1
     kernel = []
-    for t, b in _euclid_rows(rs.field, rs.code.g.bits, h, width):
-        room = width + 1 - (max(t.bit_length(), b.bit_length()) + m - 1) // m
-        kernel.extend((t << u * m, b << u * m) for u in range(room))
+    for a, b in rows:
+        room = width + 1 - (max(a.bit_length(), b.bit_length()) + m - 1) // m
+        kernel.extend((a << u * m, b << u * m) for u in range(room))
     if len(kernel) != 2 * width - rs.code.r:
         raise AssertionError(f"window kernel of dimension {len(kernel)}, not 2w - r")
     return kernel
@@ -286,9 +285,9 @@ def rs_image_burst_limit(rs: RsCode) -> RsReport:
         ly = log[y]
         return [log[x ^ exp[s + ly]] for s in range(order)]
 
-    # x^T mod g for the shifts T = width .. n // 2, one per start
-    for start, h in enumerate(islice(_x_powers(code.g), width, n // 2 + 1)):
-        (a0, b0), *second = _window_kernel(rs, h)
+    # the bases of the shifts T = width .. n // 2, one per start
+    for start, rows in zip(range(n // 2 - width + 1), _shift_bases(field, code.g.bits, width)):
+        (a0, b0), *second = _window_kernel(rs, rows)
         admit(score(ends(a0), ends(b0)), a0, b0)
         if not second:
             continue

@@ -8,8 +8,8 @@ from qburst.cycliccode import code_from_generator, syndrome
 from qburst.galois import GF2, GF4, field_make
 from qburst.polyring import (
     Polynomial,
-    _euclid_rows,
     _monic_gcd,
+    _shift_bases,
     _x_powers,
     cyclotomic_cosets,
     divisor_generators,
@@ -128,28 +128,38 @@ def test_scale_and_monic_build_no_multiple_table():
     assert "_multiples" not in vars(A)
 
 
+monic_g = st.integers(1, 6).flatmap(
+    lambda m: st.tuples(
+        st.just(field_make(m)), st.lists(st.integers(0, (1 << m) - 1), max_size=10)
+    )
+)
+
+
 @settings(max_examples=200)
-@given(field_and_two_lists, st.integers(1, 14))
-def test_euclid_rows_are_the_extended_euclidean_rows(drawn, w):
-    # each row (t, b) has b = t h (mod g); deg t rises, deg b falls, and
-    # consecutive rows have deg t_(i+1) + deg b_i = deg g; the rows stop
-    # once deg t reaches w, or after a row with b = 0 (g and h not coprime)
-    field, gc, hc = drawn
+@given(monic_g, st.integers(0, 2))
+def test_shift_bases_are_weak_popov_bases_of_the_shift_modules(drawn, start):
+    # both rows lie in M_T = {(a, b) : x^T a = b (mod g)}; their pivots (b
+    # when deg b >= deg a) differ, so the row degrees sum to deg g; and
+    # a1 b2 - a2 b1 is a nonzero scalar times g, so the rows span M_T itself
+    field, gc = drawn
     g = Polynomial.make(field, gc + [1])
-    h = Polynomial.make(field, hc) % g
-    rows = [
-        (Polynomial(field, t), Polynomial(field, b))
-        for t, b in _euclid_rows(field, g.bits, h.bits, w)
+    shifts = 2 * g.degree + 3
+    bases = [
+        [(Polynomial(field, a), Polynomial(field, b)) for a, b in rows]
+        for rows in islice(_shift_bases(field, g.bits, 0), shifts)
     ]
-    assert rows[0] == (Polynomial.one(field), h)
-    for t, b in rows:
-        assert ((t * h - b) % g).is_zero and t.degree < w
-    for (t, b), (t2, b2) in zip(rows, rows[1:]):
-        assert t2.degree > t.degree and b2.degree < b.degree
-        assert t2.degree + b.degree == g.degree
-    t, b = rows[-1]
-    if not b.is_zero:  # the next row's t has degree deg g - deg b
-        assert g.degree - b.degree >= w
+    for T, ((a1, b1), (a2, b2)) in enumerate(bases):
+        for a, b in ((a1, b1), (a2, b2)):
+            assert ((Polynomial.x_pow(field, T) * a - b) % g).is_zero, T
+        assert (b1.degree >= a1.degree) != (b2.degree >= a2.degree), T
+        degree = max(a1.degree, b1.degree) + max(a2.degree, b2.degree)
+        assert degree == g.degree, T
+        det = a1 * b2 - a2 * b1
+        assert not det.is_zero and det.monic() == g, T
+    later = list(islice(_shift_bases(field, g.bits, start), shifts - start))
+    assert later == [
+        tuple((a.bits, b.bits) for a, b in rows) for rows in bases[start:]
+    ]
 
 
 _GF64 = field_make(6)

@@ -7,7 +7,7 @@ import pytest
 from qburst.galois import SelfDualBasis, field_make, self_dual_basis
 from qburst.cycliccode import burst_length, contains, in_euclidean_dual, syndrome
 from qburst.matgf import MatrixGF, rank as matrank
-from qburst.polyring import Polynomial
+from qburst.polyring import Polynomial, _shift_bases
 from qburst.qccburst import NotDualContaining, window_pairs
 from qburst.qrsburst import (
     RsReport,
@@ -28,6 +28,9 @@ def test_rs_make_rejects_hbar_below_one():
     with pytest.raises(ValueError, match="hbar"):
         rs_make(6, 61)  # hbar = 0 would give a negative lower bound
     assert rs_make(6, 59).hbar == 1
+    for m, K in ((1, 1), (1, 2), (2, 1), (2, 3)):  # n - 4 < 1: no K at all
+        with pytest.raises(ValueError, match=r"^GF\(2\^\d\) with m < 3 has no quantum RS code"):
+            rs_make(m, K)
 
 
 def test_rs_make_examples():
@@ -190,7 +193,7 @@ def test_window_pairs_at_rs_width():
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
-def test_euclid_kernel_matches_row_reduction(m):
+def test_shift_basis_kernel_matches_row_reduction(m):
     # every window the scan reads, T = start + w <= n // 2: the MDS shape,
     # 2w - r packed pairs, is the row reduction's kernel dimension, and the
     # two bases stacked have rank 2w - r, so they span one kernel
@@ -202,9 +205,9 @@ def test_euclid_kernel_matches_row_reduction(m):
         def digits(p):
             return tuple((p >> i * m) & mask for i in range(width))
 
-        for start in range(n // 2 - width + 1):
-            h = Polynomial.x_pow(code.field, start + width) % code.g
-            base = [digits(a) + digits(b) for a, b in _window_kernel(rs, h.bits)]
+        bases = _shift_bases(code.field, code.g.bits, width)
+        for start, rows in zip(range(n // 2 - width + 1), bases):
+            base = [digits(a) + digits(b) for a, b in _window_kernel(rs, rows)]
             rank, pairs = _window_base_pairs(rs, start)
             oracle = [e[start : start + width] + f[n - width :] for e, f in pairs]
             assert len(base) == width - rank == 2 * width - code.r, (m, K, start)
@@ -416,16 +419,29 @@ def _odd_K(m):
     return range(1, (1 << m) - 4, 2)
 
 
+# (m, K): a basis other than the pinned one, and the limit L under it (the
+# pinned basis gives 1 and 11); the window kernels do not depend on the basis
+_OTHER_BASES = {(4, 11): ((8, 11, 15, 13), 2), (5, 19): ((3, 5, 17, 26, 12), 13)}
+
+
 @pytest.mark.parametrize(
     "m,K,basis",
     [(m, K, "pinned") for m in (3, 4, 5) for K in _odd_K(m)]
     + [(5, K, "self_dual_basis") for K in _odd_K(5)]
-    + [(6, 53, "pinned"), (6, 55, "pinned")],  # one and two base pairs per window
+    + [(6, 53, "pinned"), (6, 55, "pinned")]  # one and two base pairs per window
+    + [(m, K, elements) for (m, K), (elements, _) in _OTHER_BASES.items()],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else None,
 )
 def test_projective_scan_matches_full_kernel(m, K, basis):
     field = field_make(m)
-    rs = rs_make(m, K, self_dual_basis(field) if basis == "self_dual_basis" else None)
-    assert rs_image_burst_limit(rs) == _full_kernel_limit(rs)
+    if isinstance(basis, tuple):
+        rs = rs_make(m, K, SelfDualBasis(field, basis))
+    else:
+        rs = rs_make(m, K, self_dual_basis(field) if basis == "self_dual_basis" else None)
+    report = rs_image_burst_limit(rs)
+    assert report == _full_kernel_limit(rs)
+    if isinstance(basis, tuple):
+        assert report.L == _OTHER_BASES[m, K][1]
 
 
 def test_limit_meets_old_bound_exactly_at_few_K():

@@ -209,6 +209,9 @@ def test_cli_qetd_sim(capsys):
 def test_cli_input_error(capsys):
     assert main(["burst-limit", "--n", "7", "--field", "gf2", "--gen", "(2^1 1^0)"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert main(["rs-limit", "--m", "2", "--kq", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: GF(2^2) with m < 3 has no quantum RS code: n - 4 = -1 < 1\n"
 
 
 def test_module_form_runs_the_cli():
