@@ -19,6 +19,12 @@ Conventions (0-based positions throughout):
   for a Hermitian code) is generated by s = conj(dual_g) of the partner,
   for GF(4) and GF(2) alike: a construction is admissible iff g | s, and
   confusing e with f is harmless iff s | e - f.
+* `dual_containing_codes` holds a code as a mask over the factors of
+  x^n - 1.  Reversal (monic reciprocal) and conjugation are permutations
+  rev and conj of the factor indices, the partner map is conj o rev, and
+  the orbit key is the least of the masks of g, conj(g), rev(g) and
+  conj(rev(g)).  Both maps keep burst lengths and commute with the partner
+  map, so the codes of one key share K and every burst limit.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product
-from math import prod
 from typing import Iterator
 
 from .galois import FieldSpec
@@ -116,38 +121,43 @@ def in_euclidean_dual(code: CyclicCode, v) -> bool:
     return (vector_poly(code, v) % code.dual_g).is_zero
 
 
-def _partner(p: Polynomial) -> Polynomial:
-    """conj(monic(reciprocal(p))); multiplicative, an involution on the factors of x^n - 1."""
-    return p.reciprocal().monic().conjugate()
-
-
-def _orbit_key(g: Polynomial) -> int:
-    """Smallest `.bits` over g, conj(g), rev(g) = monic(reciprocal(g)) and
-    conj(rev(g)).  Reversing positions and conjugating digits keep burst
-    lengths and commute with `_partner`, so the codes of one key share K
-    and every burst limit (conj is the identity over GF(2))."""
-    rev = g.reciprocal().monic()
-    return min(p.bits for p in (g, g.conjugate(), rev, rev.conjugate()))
-
-
 def stabilizer_generator(dual_of: CyclicCode) -> Polynomial:
-    """s = conj(dual_g) = partner(h): the generator of the Hermitian dual of
-    `dual_of` over GF(4), of its Euclidean dual over GF(2) (conj is the identity)."""
-    return _partner(dual_of.h)
+    """s = conj(dual_g): the generator of the Hermitian dual of `dual_of`
+    over GF(4), of its Euclidean dual over GF(2) (conj is the identity)."""
+    return dual_of.dual_g.conjugate()
 
 
-def dual_containing_generators(n: int, field: FieldSpec) -> Iterator[Polynomial]:
-    """Every g of degree >= 1 admissible at length n for the construction of
-    its field (Hermitian over GF(4), CSS with itself over GF(2)).  s is the
-    product of partner(p) over the factors p outside g, so g | s iff g holds
-    no self-partner factor and at most one of each pair {p, partner(p)}."""
-    one, pairs = Polynomial.one(field), {}
-    for p in factor_xn_minus_1(n, field):
-        partner = _partner(p)
-        if partner != p and partner not in pairs:
-            pairs[p] = (one, p, partner)
-    for choice in islice(product(*pairs.values()), 1, None):  # skip g = 1
-        yield prod(choice, start=one)
+def dual_containing_codes(n: int, field: FieldSpec) -> Iterator[tuple[CyclicCode, int]]:
+    """Every code of length n with deg g >= 1 admissible for the construction
+    of its field (Hermitian over GF(4), CSS with itself over GF(2)), with its
+    orbit key (see the module docstring).  s is the product of partner(p)
+    over the factors p of h, so g | s iff g holds no self-partner factor and
+    at most one of each pair {p, p'}: self-partner factors go to h, and each
+    pair gives (g, h) one of (1, p p'), (p, p') or (p', p), multiplied on
+    along the enumeration tree, so h = (x^n - 1) / g with no division."""
+    factors = factor_xn_minus_1(n, field)
+    index = {p: i for i, p in enumerate(factors)}
+    rev = [index[p.reciprocal().monic()] for p in factors]
+    conj = [index[p.conjugate()] for p in factors]
+    one, h, pairs = Polynomial.one(field), Polynomial.one(field), []
+    for i, p in enumerate(factors):
+        j = conj[rev[i]]
+        if j == i:
+            h *= p
+        elif i < j:
+            q = factors[j]
+            pairs.append(((one, p * q, [0] * 4),
+                          (p, q, (1 << i, 1 << conj[i], 1 << rev[i], 1 << j)),
+                          (q, p, (1 << j, 1 << conj[j], 1 << rev[j], 1 << i))))
+
+    def grow(depth, g, h, masks):
+        if depth == len(pairs):
+            yield CyclicCode(n, field, g, h), min(masks)
+            return
+        for dg, dh, dmasks in pairs[depth]:
+            yield from grow(depth + 1, g * dg, h * dh, [a | b for a, b in zip(masks, dmasks)])
+
+    yield from islice(grow(0, one, h, [0] * 4), 1, None)  # skip g = 1
 
 
 def hermitian_dual_containing(code: CyclicCode) -> bool:

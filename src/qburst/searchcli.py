@@ -5,11 +5,12 @@ Generator polynomials are written in the compact table notation
 1..3 encoding 1, w, w^2 of GF(4) (only 1 is legal over GF(2)), exponents
 strictly decreasing and ending at 0.
 
-The search builds each length's dual-containing generators from partner
-pairs of the factors of x^n - 1, checks each code's construction, and
-emits reports sorted canonically.  The burst-limit sweep runs once per orbit
-under reversing positions and conjugating digits (`cycliccode._orbit_key`):
-both maps keep burst lengths and commute with the partner map that fixes
+The search takes each length's dual-containing codes, with their orbit
+keys, from `cycliccode.dual_containing_codes`, checks each code's
+construction, and emits reports sorted canonically.  The burst-limit sweep
+runs once per orbit under reversing positions and conjugating digits (the
+key: the least of a code's factor mask and its three images): both maps
+keep burst lengths and commute with the partner map conj o rev that fixes
 the stabilizer, so every member shares K and the limits of the first.
 With `--delta-max` a sweep stops as soon as its L has fallen below what
 that delta needs; the partial report of such an orbit fails the delta
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .cycliccode import MAX_LENGTH, _orbit_key, code_from_generator, dual_containing_generators
+from .cycliccode import MAX_LENGTH, code_from_generator, dual_containing_codes
 from .galois import GF2, GF4, FieldSpec
 from .polyring import Polynomial
 from .qccburst import QccReport, _components, _sweep_report, qcc_burst_limit
@@ -142,11 +143,10 @@ def search(job: SearchJob) -> list[QccReport]:
     reports = []
     for n in job.lengths():
         orbits: dict[int, QccReport] = {}
-        for g in dual_containing_generators(n, field):
-            code, key = code_from_generator(n, g), _orbit_key(g)
+        for code, key in dual_containing_codes(n, field):
             K, sweeps = _components(code, construction)
             if key in orbits:
-                report = replace(orbits[key], generators=(g.coeffs,))
+                report = replace(orbits[key], generators=(code.g.coeffs,))
             else:
                 floor = 0 if job.delta_max is None else -(-(n - K - job.delta_max) // 4)
                 report = orbits[key] = _sweep_report(K, sweeps, construction, floor)

@@ -12,7 +12,7 @@ from qburst.cycliccode import (
     code_from_generator,
     contains,
     css_dual_containing,
-    dual_containing_generators,
+    dual_containing_codes,
     hermitian_dual_containing,
     in_euclidean_dual,
     stabilizer_generator,
@@ -149,11 +149,12 @@ def test_dual_containing_divisibility_matches_matrix_product():
 
 
 @pytest.mark.parametrize("field", [GF4, GF2], ids=["gf4", "gf2"])
-def test_dual_containing_generators_match_divisibility_oracle(field):
+def test_dual_containing_codes_match_divisibility_oracle(field):
     # the partner-pair enumerator yields exactly the divisors 1 <= deg g < n
     # that the divisibility test admits, each once, including lengths whose
-    # admissible set is empty (GF(2) n = 1, 3, 5).  The test shares the
-    # partner map with the enumerator, so H H^dagger = 0 (H H^T = 0) is
+    # admissible set is empty (GF(2) n = 1, 3, 5), and h = (x^n - 1) / g
+    # built without a division.  The divisibility test and the enumerator
+    # rest on the same partner map, so H H^dagger = 0 (H H^T = 0) is
     # checked beside it.
     def admits(code):
         if field is GF4:
@@ -166,18 +167,48 @@ def test_dual_containing_generators_match_divisibility_oracle(field):
 
     sizes = {}
     for n in range(1, 34, 2):
-        built = list(dual_containing_generators(n, field))
-        assert len(set(built)) == len(built), n
+        xn1 = Polynomial.xn_minus_1(field, n)
+        built = [code for code, _ in dual_containing_codes(n, field)]
+        for code in built:
+            assert (code.n, code.field) == (n, field), code
+            assert code.g * code.h == xn1, code
+        generators = [code.g for code in built]
+        assert len(set(generators)) == len(generators), n
         oracle = {
             g for g in divisor_generators(n, field, (1, n - 1))
             if admits(code_from_generator(n, g))
         }
-        assert set(built) == oracle, n
+        assert set(generators) == oracle, n
         sizes[n] = len(built)
     if field is GF2:
         assert sizes[1] == sizes[3] == sizes[5] == 0 and sizes[7] == 2
     else:
         assert sizes[1] == 0 and sizes[5] == 2
+
+
+def test_orbit_keys_match_polynomial_orbits():
+    # oracle for the mask keys: codes share a key exactly when they share
+    # the least `.bits` of g, conj(g), rev(g) = monic(reciprocal(g)) and
+    # conj(rev(g)), computed on the polynomials; and the construction of
+    # the field admits every code.  Every odd n <= 65 in both fields.
+    def polynomial_key(g):
+        rev = g.reciprocal().monic()
+        return min(p.bits for p in (g, g.conjugate(), rev, rev.conjugate()))
+
+    codes = 0
+    for field in (GF4, GF2):
+        for n in range(1, 66, 2):
+            by_key, by_polynomial = {}, {}
+            for code, key in dual_containing_codes(n, field):
+                if field is GF4:
+                    assert hermitian_dual_containing(code), code
+                else:
+                    assert css_dual_containing(code, code), code
+                by_key.setdefault(key, []).append(code.g.bits)
+                by_polynomial.setdefault(polynomial_key(code.g), []).append(code.g.bits)
+                codes += 1
+            assert sorted(by_key.values()) == sorted(by_polynomial.values()), (field, n)
+    assert codes == 21960
 
 
 def test_dual_membership():

@@ -9,7 +9,7 @@ from qburst.cycliccode import (
     burst_length,
     code_from_generator,
     contains,
-    dual_containing_generators,
+    dual_containing_codes,
     syndrome,
 )
 from qburst import qccburst
@@ -337,8 +337,8 @@ def _fixture_css_codes():
 def _sweep_oracle_codes():
     for field, construction in ((GF4, "hermitian"), (GF2, "css")):
         for n in range(3, 32, 2):
-            for g in dual_containing_generators(n, field):
-                yield code_from_generator(n, g), construction
+            for code, _ in dual_containing_codes(n, field):
+                yield code, construction
     for pair in R1_PAIRS:
         yield pair, "css"
     for codes in _fixture_css_codes():

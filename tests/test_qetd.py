@@ -12,7 +12,7 @@ from qburst.cycliccode import (
     burst_count,
     code_from_generator,
     contains,
-    dual_containing_generators,
+    dual_containing_codes,
     stabilizer_generator,
     syndrome,
     vector_poly,
@@ -382,8 +382,8 @@ def test_orbit_census_matches_per_pattern_walk():
     rows = 0
     for field, construction in ((GF4, "hermitian"), (GF2, "css")):
         for n in range(3, 22, 2):
-            for g in dual_containing_generators(n, field):
-                _, ((code, dual_of),) = _components(code_from_generator(n, g), construction)
+            for built, _ in dual_containing_codes(n, field):
+                _, ((code, dual_of),) = _components(built, construction)
                 if code.r > 8:
                     continue
                 decoder = _PackedDecoder(code, dual_of)
@@ -421,8 +421,8 @@ def test_derived_ties_match_polynomial_walk():
     checked = 0
     for field, construction in ((GF4, "hermitian"), (GF2, "css")):
         for n in range(3, 22, 2):
-            for g in dual_containing_generators(n, field):
-                _, ((code, dual_of),) = _components(code_from_generator(n, g), construction)
+            for built, _ in dual_containing_codes(n, field):
+                _, ((code, dual_of),) = _components(built, construction)
                 lifted = code_from_generator(n, Polynomial.make(GF4, code.g.coeffs))
                 decoder = _PackedDecoder(code, dual_of)
                 r = code.r
@@ -464,8 +464,7 @@ def test_long_pattern_census_matches_oracle():
     for field, construction in ((GF4, "hermitian"), (GF2, "css")):
         for n in (5, 7, 15, 17):
             degrees = set()
-            for g in dual_containing_generators(n, field):
-                code = code_from_generator(n, g)
+            for code, _ in dual_containing_codes(n, field):
                 _, ((component, dual_of),) = _components(code, construction)
                 r = component.r
                 if r > 4 or r in degrees:
@@ -492,8 +491,8 @@ def test_pattern_keys_match_per_pattern_keys():
     checked = 0
     for field, construction in ((GF4, "hermitian"), (GF2, "css")):
         for n in range(3, 14, 2):
-            for g in dual_containing_generators(n, field):
-                _, ((code, dual_of),) = _components(code_from_generator(n, g), construction)
+            for built, _ in dual_containing_codes(n, field):
+                _, ((code, dual_of),) = _components(built, construction)
                 decoder = _PackedDecoder(code, dual_of)
                 table = decoder.table
                 s_degree = stabilizer_generator(dual_of).degree

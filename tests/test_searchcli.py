@@ -84,12 +84,18 @@ def test_search_includes_known_codes():
 def test_search_builds_only_admissible_codes(monkeypatch):
     # n = 45 over GF(4) has 32,766 divisors with 1 <= deg g < 45; only the
     # 3^5 - 1 = 242 admissible ones are built, and none is rejected.  They
-    # fall into 69 reversal/conjugation orbits, one limit sweep each.
-    built, rejected, swept = [], [], []
-    original = qburst.searchcli.code_from_generator
-    monkeypatch.setattr(
-        "qburst.searchcli.code_from_generator", lambda n, g: built.append(g) or original(n, g)
-    )
+    # fall into 69 reversal/conjugation orbits, one limit sweep each.  No
+    # generator is divided out of x^n - 1 (`code_from_generator`).
+    built, divided, rejected, swept = [], [], [], []
+    enumerate_codes = qburst.searchcli.dual_containing_codes
+
+    def recording(n, field):
+        for code, key in enumerate_codes(n, field):
+            built.append(code.g)
+            yield code, key
+
+    monkeypatch.setattr("qburst.searchcli.dual_containing_codes", recording)
+    monkeypatch.setattr("qburst.searchcli.code_from_generator", lambda *a: divided.append(a))
     monkeypatch.setattr(NotDualContaining, "__init__", lambda self, *a: rejected.append(a))
     sweep = qburst.qccburst._component_sweep
     monkeypatch.setattr(
@@ -97,7 +103,7 @@ def test_search_builds_only_admissible_codes(monkeypatch):
     )
     reports = search(SearchJob(45, 45, "gf4"))
     assert len(built) == len(set(built)) == len(reports) == 242
-    assert rejected == []
+    assert divided == rejected == []
     assert len(swept) == 69
 
 
