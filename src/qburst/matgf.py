@@ -12,14 +12,18 @@ positions in the parent matrix.
 
 It builds a leftmost-greedy column basis over the packed columns.  Each
 column carries its expression over the pivot columns in the digits above
-its entries.  Each basis vector is scaled so that its lowest nonzero
-entry is 1 and is kept as its doublings x^k * v (the step `Polynomial`
-multiplies by too).  A column cancels its lowest nonzero entry c against
-the basis vector with that pivot by XORing the doublings at the set bits
-of c, so no row operation makes a field multiply per entry.  A column
-whose lowest nonzero entry has no basis vector is outside the span of
-the earlier columns and becomes a pivot; a column that cancels to zero
-is free, and its expression is its combination.
+its entries.  A basis vector is kept as it was reduced, and is scaled
+only when a later column first cancels against it: then its lowest
+nonzero entry is made 1 and it is kept as its doublings x^k * v (the
+step `Polynomial` multiplies by too), from the doublings of the inverse
+of that entry, so one that no column cancels against (most of them, in
+the shift sweep's matrices) is never scaled.  A column cancels its
+lowest nonzero entry c against the basis vector with that pivot by
+XORing the doublings at the set bits of c, so no row operation makes a
+field multiply.  A column whose lowest nonzero entry has no basis
+vector is outside the span of the earlier columns and becomes a pivot;
+a column that cancels to zero is free, and its expression is its
+combination.
 """
 
 from __future__ import annotations
@@ -120,29 +124,33 @@ def row_reduce(m: MatrixGF) -> ReducedForm:
     # each reduced column carries its expression over the pivot columns in
     # the digits from `height` up (pivot k in digit k of the expression)
     low = (1 << height) - 1
-    # pivot digit -> doublings of the basis vector whose lowest nonzero
-    # digit it is, scaled so that digit is 1
-    basis: dict[int, list[int]] = {}
+    # by pivot digit: the basis vector whose lowest nonzero digit it is (0
+    # for none), and, once a column has cancelled against it, its doublings
+    # scaled so that digit is 1 (None until then)
+    basis = [0] * m.rows
+    scaled: list[list[int] | None] = [None] * m.rows
     pivot_cols: list[int] = []
     expressions: dict[int, int] = {}
     for j, vec in enumerate(m.columns):
         while vec & low:
             pos = ((vec & -vec).bit_length() - 1) // bits
-            doublings = basis.get(pos)
+            doublings = scaled[pos]
             if doublings is None:
-                break
+                pivot = basis[pos]
+                if not pivot:
+                    break
+                doublings = f.doublings(pivot)
+                inv = f.inv((pivot >> (pos * bits)) & mask)
+                if inv != 1:
+                    # x^k (inv v) = (x^k inv) v, and doublings(inv) lists x^k inv
+                    doublings = [_times(doublings, c) for c in f.doublings(inv)]
+                scaled[pos] = doublings
             # cancel digit pos: add c times the basis vector, one
             # doubling per set bit of c; only higher digits change
             vec ^= _times(doublings, (vec >> (pos * bits)) & mask)
         if vec & low:
             # outside the span of the earlier columns: a new pivot
-            vec ^= 1 << (height + len(pivot_cols) * bits)
-            inv = f.inv((vec >> (pos * bits)) & mask)
-            doublings = f.doublings(vec)
-            if inv != 1:
-                # x^k (inv vec) = (x^k inv) vec, and doublings(inv) lists x^k inv
-                doublings = [_times(doublings, c) for c in f.doublings(inv)]
-            basis[pos] = doublings
+            basis[pos] = vec ^ (1 << (height + len(pivot_cols) * bits))
             pivot_cols.append(j)
         else:
             expressions[j] = vec >> height

@@ -15,12 +15,15 @@ max(deg a, deg b) over the nonzero pairs of the shift (the shift-register
 view of Matt and Massey, "Determining the burst-correcting limit of
 cyclic codes", IEEE TIT 26(3), 1980).  `_shortest_pair` finds d(T) and
 its minimal pair from one reduction of the columns x^(T+i) mod g and the
-unit vectors, interleaved by degree; the powers enter the matrix packed,
-as `polyring._x_powers` steps them, so no column is ever split into
-digits.  Below r/2 every pair of the shift
-is a polynomial multiple of the minimal one, and the stabilizers form an
-ideal, so that one pair decides every width at T: it is degenerate iff s
-divides e - f.
+unit vectors, interleaved by degree.  The columns are packed with their
+digits reversed (coefficient k in digit r - 1 - k), as `_sweep_powers`
+steps the powers, so no column is ever split into digits; the reversal
+is a row permutation, which leaves the reduced form as it is and spares
+most of the cancellations (`_shortest_pair`).  Below r/2 every pair of
+the shift is a polynomial multiple of the minimal one, and the
+stabilizers form an ideal, so that one pair decides every width at T: it
+is degenerate iff s divides e - f.  The sweep conjugates s once, at its
+first pair, and tests each pair by one remainder of the packed e - f.
 
 L is then the least d(T) over the shifts with a nondegenerate minimal
 pair, and ell0 the least d(T) over all shifts, each capped at floor(r/2)
@@ -37,7 +40,8 @@ only the shifts T = 1 .. n // 2 (T = n/2, at even n, is its own mirror).
 
 `window_pairs` keeps the window row reduction itself as an oracle: the
 tests check the shift kernel and the Reed-Solomon window kernel
-(`qrsburst`, by a shift basis at width hbar + 1, above r/2) against it.
+(`qrsburst`, by a shift basis at width hbar + 1, above r/2) against it,
+and judge its pairs by `degeneracy_check`.
 
 An exhaustive pair enumeration over canonical burst patterns provides an
 independent oracle for small lengths.
@@ -46,7 +50,7 @@ independent oracle for small lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from operator import xor
 
 from .cycliccode import (
     CyclicCode,
@@ -59,7 +63,7 @@ from .cycliccode import (
     vector_poly,
 )
 from .matgf import MatrixGF, row_reduce
-from .polyring import Polynomial, _x_powers
+from .polyring import Polynomial
 
 
 class NotDualContaining(ValueError):
@@ -98,23 +102,56 @@ def window_pairs(code: CyclicCode, width: int, start: int):
     return reduced.rank, tuple(pairs)
 
 
+def _sweep_powers(g: Polynomial, count: int) -> list[int]:
+    """x^0 .. x^(count-1) modulo the monic g, packed with their digits
+    reversed: coefficient k of x^j mod g in digit r - 1 - k, r = deg g (all
+    0 for g = 1).  x p mod g is x p less p_(r-1) g, so reversed it is the
+    power before shifted down a digit, its digit 0 (p_(r-1)) dropped and
+    p_(r-1) times the reversed g - x^r added: one shift and one table XOR."""
+    m, r = g.field.m, g.degree
+    # the reversed g - x^r is the reciprocal of g without its constant 1
+    multiples = Polynomial(g.field, g.reciprocal().bits >> m)._multiples
+    mask = g.field.q - 1
+    power = (1 << (r * m)) >> m
+    powers = []
+    for _ in range(count):
+        powers.append(power)
+        power = (power >> m) ^ multiples[power & mask]
+    return powers
+
+
+def _shift_matrix(code: CyclicCode, powers: list[int], shift: int, width: int) -> MatrixGF:
+    """The r x 2*width matrix of the shift T = `shift`: columns x^(T+i) mod g
+    and the unit vector u_i, interleaved by degree i, digits reversed as in
+    `_sweep_powers` (u_i in digit r - 1 - i)."""
+    top = 1 << (code.r * code.field.m)  # u_i is the zero vector when r = 0
+    columns = []
+    for i, power in enumerate(powers[shift:shift + width], 1):
+        columns += power, top >> (i * code.field.m)
+    return MatrixGF(code.field, code.r, tuple(columns))
+
+
 def _shortest_pair(code: CyclicCode, powers: list[int], shift: int, width: int):
     """(d, e, f) for the shift T = `shift`, or None when d(T) >= `width`.
 
     d(T) is the least max(deg a, deg b) over the nonzero pairs with
-    x^T a = b (mod g).  One row reduction of the r x 2*width matrix with
-    columns x^(T+i) mod g = powers[T+i] and the unit vector u_i, interleaved
-    by degree i, finds it: its first free column p gives d = p // 2, and the
-    column's combination is the minimal pair (a, b).  With e = x^(T-d-1) a
-    and f = x^(n-d-1) b, e lies in the window of width d + 1 at start T-d-1
-    and f in the last d + 1 positions, and the two have equal syndromes.
+    x^T a = b (mod g).  One row reduction of `_shift_matrix` finds it: its
+    first free column p gives d = p // 2, and the column's combination is
+    the minimal pair (a, b).  With e = x^(T-d-1) a and f = x^(n-d-1) b, e
+    lies in the window of width d + 1 at start T-d-1 and f in the last
+    d + 1 positions, and the two have equal syndromes.
+
+    The matrix stores digit r - 1 - k in place of digit k.  Permuting the
+    rows changes no dependency among the columns, nor its coefficients, so
+    the reduced form is that of the natural order.  But there the power
+    x^T mod g (generically with a nonzero constant term) and u_0 both take
+    their pivot on digit 0, and every column cancels against almost every
+    earlier pivot.  Reversed, the powers fill the low digits and u_i sits
+    on digit r - 1 - i, which no power pivot reaches until the window is
+    nearly deficient.
     """
-    r, n, m = code.r, code.n, code.field.m
-    low = (1 << (r * m)) - 1  # u_i is the zero vector when r = 0
-    columns = []
-    for i, power in enumerate(powers[shift:shift + width]):
-        columns += power, (1 << (i * m)) & low
-    reduced = row_reduce(MatrixGF(code.field, r, tuple(columns)))
+    n = code.n
+    reduced = row_reduce(_shift_matrix(code, powers, shift, width))
     if not reduced.free_cols:
         return None
     free_col = reduced.free_cols[0]
@@ -223,7 +260,8 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None, floor: int = 
     flags = ("cap-limited",)
     if L < floor:
         return L, ell0, flags
-    powers = list(islice(_x_powers(code.g), n))
+    powers = _sweep_powers(code.g, n)
+    s = None  # the stabilizer generator, conjugated at the first pair
     for shift in range(1, n // 2 + 1):
         if not limit:
             break
@@ -232,11 +270,15 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None, floor: int = 
             continue
         d, e, f = found
         ell0 = min(ell0, d)
-        if dual_of is None or not degeneracy_check(code, e, f, dual_of=dual_of):
-            L = limit = d
-            flags = ()
-            if L < floor:
-                break
+        if dual_of is not None:
+            if s is None:
+                s = stabilizer_generator(dual_of)
+            if (Polynomial.make(code.field, map(xor, e, f)) % s).is_zero:
+                continue  # a harmless pair
+        L = limit = d
+        flags = ()
+        if L < floor:
+            break
     return L, ell0, flags
 
 

@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from qburst.galois import GF2, GF4, OMEGA, OMEGA_BAR, field_make
+from qburst.galois import GF2, GF4, OMEGA, OMEGA_BAR, FieldSpec, field_make
 from qburst.matgf import MatrixGF, product_is_zero, rank, row_reduce
 from qburst.cycliccode import code_from_generator
 from qburst.polyring import Polynomial, divisor_generators, factor_xn_minus_1
@@ -139,6 +139,60 @@ def test_row_reduce_matches_span_enumeration():
                 assert all(c == 0 for c, p in zip(combo, red.pivot_cols) if p > j)
                 checked_free += 1
     assert checked_pivots > 1000 and checked_free > 500
+
+
+def _lead(m, j):
+    """The lowest nonzero entry of column j."""
+    return next(c for c in _column(m, j) if c)
+
+
+def test_row_order_leaves_the_reduced_form():
+    # permuting the rows changes no dependency among the columns nor its
+    # coefficients, so every row order reduces to the same form
+    rng = random.Random(29)
+    deficient = zero_cols = lead_not_one = 0
+    for field in (GF2, GF4, field_make(3), field_make(6)):
+        for _ in range(60):
+            rows = rng.randrange(1, 9)
+            m = _oracle_matrix(rng, field, rows, rng.randrange(1, 12))
+            red = row_reduce(m)
+            shuffled = list(range(rows))
+            rng.shuffle(shuffled)
+            for order in (range(rows - 1, -1, -1), shuffled):
+                permuted = MatrixGF.make(field, [m.data[i] for i in order])
+                assert row_reduce(permuted) == red, (field, m.data, list(order))
+            deficient += bool(red.free_cols)
+            zero_cols += not all(m.columns)
+            lead_not_one += bool(red.pivot_cols) and _lead(m, red.pivot_cols[0]) != 1
+    assert deficient > 150 and zero_cols > 150 and lead_not_one > 100
+
+
+def test_row_reduce_makes_no_field_multiply(monkeypatch):
+    # a pivot is scaled through the doublings of the inverse of its lead,
+    # never entry by entry, so FieldSpec.mul is never called
+    rng = random.Random(31)
+    cases = []
+    for field in (GF4, field_make(3)):
+        c = 1 + field.q // 2  # neither 0 nor 1
+        # column 1 is c times column 0, whose lead c is not 1
+        cases.append(MatrixGF.make(field, [[c, field.mul(c, c)], [1, c], [0, 0]]))
+        cases += (_oracle_matrix(rng, field, rng.randrange(2, 7), rng.randrange(4, 12))
+                  for _ in range(40))
+    inverted = []
+    inv = FieldSpec.inv
+
+    def refuse(*args):
+        raise AssertionError("row_reduce called FieldSpec.mul")
+
+    monkeypatch.setattr(FieldSpec, "mul", refuse)
+    monkeypatch.setattr(FieldSpec, "inv", lambda field, a: inverted.append(a) or inv(field, a))
+    reduced = [row_reduce(m) for m in cases]
+    monkeypatch.undo()
+    for m, red in zip(cases, reduced):
+        _assert_combinations(m, red)
+    assert reduced[0].combination == {1: (3,)}  # c = 3 over GF(4)
+    # the pivots scaled for a cancellation, among them many with lead not 1
+    assert sum(a != 1 for a in inverted) > 100
 
 
 def test_rank_transpose_and_bound():

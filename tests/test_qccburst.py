@@ -4,6 +4,7 @@ from math import prod
 import pytest
 
 from qburst.galois import GF2, GF4
+from qburst.matgf import MatrixGF, row_reduce
 from qburst.polyring import Polynomial, _x_powers, divisor_generators, factor_xn_minus_1
 from qburst.cycliccode import (
     burst_length,
@@ -16,7 +17,9 @@ from qburst import qccburst
 from qburst.qccburst import (
     NotDualContaining,
     _components,
+    _shift_matrix,
     _shortest_pair,
+    _sweep_powers,
     brute_force_limit,
     classical_burst_limit,
     degeneracy_check,
@@ -164,7 +167,7 @@ def test_classical_limit_of_degree_zero_generator_is_zero():
             code = code_from_generator(n, Polynomial.one(field))
             assert code.r == 0 and code.H.rows == 0 and code.H.cols == n
             assert classical_burst_limit(code) == 0
-            assert list(islice(_x_powers(code.g), n)) == [0] * n
+            assert _sweep_powers(code.g, n) == [0] * n
 
 
 def test_generator_count_checked():
@@ -274,7 +277,7 @@ def test_shift_kernel_matches_window_rank_at_every_width():
     for codes, construction in KERNEL_SAMPLE:
         for code, dual_of in _components(codes, construction)[1]:
             n, r = code.n, code.r
-            powers = list(islice(_x_powers(code.g), n))
+            powers = _sweep_powers(code.g, n)
             for shift in range(1, n):
                 top = min(shift, n - shift, r)
                 found = _shortest_pair(code, powers, shift, top)
@@ -299,6 +302,35 @@ def test_shift_kernel_matches_window_rank_at_every_width():
                     )
                     assert nondegenerate == (not harmless), (code, shift, width)
     assert deficient > 100 and harmless_seen > 0
+
+
+def _reversed(field, r, packed):
+    """The packed r-digit vector with digit k moved to digit r - 1 - k."""
+    m, mask = field.m, field.q - 1
+    return sum(((packed >> (k * m)) & mask) << ((r - 1 - k) * m) for k in range(r))
+
+
+def test_sweep_matrices_reduce_as_in_natural_order():
+    # the sweep stores digit r - 1 - k in place of digit k; that row
+    # permutation leaves the reduced form of every shift matrix as it is
+    checked = deficient = 0
+    for codes, construction in KERNEL_SAMPLE:
+        for code, _ in _components(codes, construction)[1]:
+            n, r, field = code.n, code.r, code.field
+            natural = list(islice(_x_powers(code.g), n))
+            powers = _sweep_powers(code.g, n)
+            assert powers == [_reversed(field, r, p) for p in natural], code
+            for shift in range(1, n):
+                width = min(shift, n - shift, r)
+                columns = []
+                for i, power in enumerate(natural[shift:shift + width]):
+                    columns += power, 1 << (i * field.m)
+                want = row_reduce(MatrixGF(field, r, tuple(columns)))
+                got = row_reduce(_shift_matrix(code, powers, shift, width))
+                assert got == want, (code, shift)
+                checked += 1
+                deficient += bool(want.free_cols)
+    assert checked > 150 and deficient > 100
 
 
 def _width_sweep(code, dual_of):
@@ -391,7 +423,7 @@ def test_mirror_shifts_hold_the_swapped_pairs():
     for codes, construction in KERNEL_SAMPLE:
         for code, dual_of in _components(codes, construction)[1]:
             n, field = code.n, code.field
-            powers = list(islice(_x_powers(code.g), n))
+            powers = _sweep_powers(code.g, n)
             for shift in range(1, n):
                 width = min(shift, n - shift, max(code.r // 2, 1))
                 found = _shortest_pair(code, powers, shift, width)
