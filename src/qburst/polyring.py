@@ -8,10 +8,12 @@ of `FieldSpec.doublings`, and keeps them.  A scaling by one c XORs the
 doublings at the set bits of c, so it never builds the q multiples.
 One packed long division (`_divide`) serves `divmod` and the gcds of the
 factorization (`_monic_gcd`), whose divisors, each used once, are scaled
-from their doublings.  The powers x^j modulo a monic g (`_x_powers`) are
-stepped by one shift-and-reduce each, and the weak Popov bases of the
-pairs x^T a = b (mod g) (`_shift_bases`) by a few cancellations of a
-leading term each, neither with a division.
+from their doublings.  The powers x^j modulo a monic g (`_x_powers`: the
+census tables of qetd, and the columns of the qccburst shift sweep,
+modulo the reciprocal of the code's generator) are stepped by one
+shift-and-reduce each, and the weak Popov bases of the pairs
+x^T a = b (mod g) (`_shift_bases`) by a few cancellations of a leading
+term each, neither with a division.
 
 x^n - 1 (n coprime to q) is factored over the base field itself by
 Berlekamp splitting.  The coset sums b_C = sum_{j in C} x^j, one per

@@ -15,14 +15,17 @@ max(deg a, deg b) over the nonzero pairs of the shift (the shift-register
 view of Matt and Massey, "Determining the burst-correcting limit of
 cyclic codes", IEEE TIT 26(3), 1980).  `_shortest_pair` finds d(T) and
 its minimal pair from one reduction of the columns x^(T+i) mod g and the
-unit vectors, interleaved by degree.  The columns are packed with their
-digits reversed (coefficient k in digit r - 1 - k), as `_sweep_powers`
-steps the powers, so no column is ever split into digits; the reversal
-is a row permutation, which leaves the reduced form as it is and spares
-most of the cancellations (`_shortest_pair`).  Below r/2 every pair of
-the shift is a polynomial multiple of the minimal one, and the
-stabilizers form an ideal, so that one pair decides every width at T: it
-is degenerate iff s divides e - f.  The sweep conjugates s once, at its
+unit vectors, interleaved by degree, each with its digits reversed
+(coefficient k in digit r - 1 - k).  Reversed, a column is one modulo
+the monic reciprocal g* of g: x -> 1/x is a ring isomorphism F[x]/(g) ->
+F[x]/(g*), and times the unit x^(r-1) it sends x^k mod g to
+x^((r-1-k) mod n) mod g*, so every column of every shift is an entry of
+the one list of x^j mod g* (`_x_powers`).  The reversal is a row
+permutation, which leaves the reduced form as it is and spares most of
+the cancellations (`_shortest_pair`).  Below r/2 every pair of the
+shift is a polynomial multiple of the minimal one, and the stabilizers
+form an ideal, so that one pair decides every width at T: it is
+degenerate iff s divides e - f.  The sweep conjugates s once, at its
 first pair, and tests each pair by one remainder of the packed e - f.
 
 L is then the least d(T) over the shifts with a nondegenerate minimal
@@ -50,6 +53,7 @@ independent oracle for small lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import xor
 
 from .cycliccode import (
@@ -63,7 +67,7 @@ from .cycliccode import (
     vector_poly,
 )
 from .matgf import MatrixGF, row_reduce
-from .polyring import Polynomial
+from .polyring import Polynomial, _x_powers
 
 
 class NotDualContaining(ValueError):
@@ -102,33 +106,16 @@ def window_pairs(code: CyclicCode, width: int, start: int):
     return reduced.rank, tuple(pairs)
 
 
-def _sweep_powers(g: Polynomial, count: int) -> list[int]:
-    """x^0 .. x^(count-1) modulo the monic g, packed with their digits
-    reversed: coefficient k of x^j mod g in digit r - 1 - k, r = deg g (all
-    0 for g = 1).  x p mod g is x p less p_(r-1) g, so reversed it is the
-    power before shifted down a digit, its digit 0 (p_(r-1)) dropped and
-    p_(r-1) times the reversed g - x^r added: one shift and one table XOR."""
-    m, r = g.field.m, g.degree
-    # the reversed g - x^r is the reciprocal of g without its constant 1
-    multiples = Polynomial(g.field, g.reciprocal().bits >> m)._multiples
-    mask = g.field.q - 1
-    power = (1 << (r * m)) >> m
-    powers = []
-    for _ in range(count):
-        powers.append(power)
-        power = (power >> m) ^ multiples[power & mask]
-    return powers
-
-
 def _shift_matrix(code: CyclicCode, powers: list[int], shift: int, width: int) -> MatrixGF:
     """The r x 2*width matrix of the shift T = `shift`: columns x^(T+i) mod g
-    and the unit vector u_i, interleaved by degree i, digits reversed as in
-    `_sweep_powers` (u_i in digit r - 1 - i)."""
-    top = 1 << (code.r * code.field.m)  # u_i is the zero vector when r = 0
+    and the unit vector u_i = x^i, interleaved by degree i, each with its
+    digits reversed, that is x^((r-1-T-i) mod n) and x^(r-1-i) modulo g*;
+    `powers` holds x^j mod g* for j < n (module docstring)."""
+    n, r = code.n, code.r
     columns = []
-    for i, power in enumerate(powers[shift:shift + width], 1):
-        columns += power, top >> (i * code.field.m)
-    return MatrixGF(code.field, code.r, tuple(columns))
+    for i in range(width):
+        columns += powers[(r - 1 - shift - i) % n], powers[(r - 1 - i) % n]
+    return MatrixGF(code.field, r, tuple(columns))
 
 
 def _shortest_pair(code: CyclicCode, powers: list[int], shift: int, width: int):
@@ -260,7 +247,7 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None, floor: int = 
     flags = ("cap-limited",)
     if L < floor:
         return L, ell0, flags
-    powers = _sweep_powers(code.g, n)
+    powers = list(islice(_x_powers(code.g.reciprocal().monic()), n))
     s = None  # the stabilizer generator, conjugated at the first pair
     for shift in range(1, n // 2 + 1):
         if not limit:

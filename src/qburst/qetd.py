@@ -408,7 +408,10 @@ def burst_census(
     modulo s, with one walk per syndrome modulo g (see the module
     docstring).
     """
-    K, ((code, dual_of),) = _components(code, construction)
+    K, sweeps = _components(code, construction)
+    if len(sweeps) != 1:
+        raise ValueError("the census pairs one binary code with itself; got two distinct codes")
+    ((code, dual_of),) = sweeps
     n = code.n
     if lmax is None:
         lmax = (n - K) // 2

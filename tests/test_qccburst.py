@@ -19,7 +19,6 @@ from qburst.qccburst import (
     _components,
     _shift_matrix,
     _shortest_pair,
-    _sweep_powers,
     brute_force_limit,
     classical_burst_limit,
     degeneracy_check,
@@ -38,6 +37,11 @@ def make4(n, text):
 
 def make2(n, text):
     return code_from_generator(n, parse_generator(text, GF2))
+
+
+def sweep_powers(code):
+    """The sweep's one list: x^j modulo the monic reciprocal g* of g, j < n."""
+    return list(islice(_x_powers(code.g.reciprocal().monic()), code.n))
 
 
 QUAD5 = make4(5, "(1^2 2^1 1^0)")
@@ -167,7 +171,7 @@ def test_classical_limit_of_degree_zero_generator_is_zero():
             code = code_from_generator(n, Polynomial.one(field))
             assert code.r == 0 and code.H.rows == 0 and code.H.cols == n
             assert classical_burst_limit(code) == 0
-            assert _sweep_powers(code.g, n) == [0] * n
+            assert sweep_powers(code) == [0] * n
 
 
 def test_generator_count_checked():
@@ -277,7 +281,7 @@ def test_shift_kernel_matches_window_rank_at_every_width():
     for codes, construction in KERNEL_SAMPLE:
         for code, dual_of in _components(codes, construction)[1]:
             n, r = code.n, code.r
-            powers = _sweep_powers(code.g, n)
+            powers = sweep_powers(code)
             for shift in range(1, n):
                 top = min(shift, n - shift, r)
                 found = _shortest_pair(code, powers, shift, top)
@@ -310,16 +314,53 @@ def _reversed(field, r, packed):
     return sum(((packed >> (k * m)) & mask) << ((r - 1 - k) * m) for k in range(r))
 
 
+def _divisors(n, field):
+    """Every monic divisor of x^n - 1.  With n = o * 2^k and o odd, x^n - 1
+    is (x^o - 1)^(2^k), so its divisors are the products of the factors of
+    x^o - 1, each to a power 0 .. 2^k."""
+    odd, power = n, 1
+    while odd % 2 == 0:
+        odd, power = odd // 2, 2 * power
+    factors = factor_xn_minus_1(odd, field)
+    for powers in product(range(power + 1), repeat=len(factors)):
+        yield prod((p for p, k in zip(factors, powers) for _ in range(k)),
+                   start=Polynomial.one(field))
+
+
 def test_sweep_matrices_reduce_as_in_natural_order():
-    # the sweep stores digit r - 1 - k in place of digit k; that row
-    # permutation leaves the reduced form of every shift matrix as it is
-    checked = deficient = 0
+    # reversed, x^k mod g is x^((r-1-k) mod n) mod g*: every shift matrix of
+    # every divisor g of x^n - 1, n <= 31, at every width up to
+    # min(T, n - T, r), holds the natural-order columns x^(T+i) mod g and u_i,
+    # interleaved by degree i, with their digits reversed (GF(4) skips n = 30,
+    # whose 19,683 divisors would take 40 s)
+    checked = 0
+    for field in (GF2, GF4):
+        for n in range(1, 32):
+            if field is GF4 and n == 30:
+                continue
+            for g in _divisors(n, field):
+                code = code_from_generator(n, g)
+                r = code.r
+                powers = sweep_powers(code)
+                rev = [_reversed(field, r, p) for p in islice(_x_powers(g), n)]
+                units = [1 << (r - 1 - i) * field.m for i in range(r)]
+                for shift in range(1, n):
+                    widest = min(shift, n - shift, r)
+                    want = []
+                    for i in range(widest):
+                        want += rev[(shift + i) % n], units[i]
+                    for width in range(1, widest + 1):
+                        got = _shift_matrix(code, powers, shift, width)
+                        assert got.rows == r and list(got.columns) == want[:2 * width], (g, shift)
+                        checked += 1
+    assert checked > 10**5
+    # that row permutation leaves the reduced form of every shift matrix as it is
+    reduced = deficient = 0
     for codes, construction in KERNEL_SAMPLE:
         for code, _ in _components(codes, construction)[1]:
             n, r, field = code.n, code.r, code.field
             natural = list(islice(_x_powers(code.g), n))
-            powers = _sweep_powers(code.g, n)
-            assert powers == [_reversed(field, r, p) for p in natural], code
+            powers = sweep_powers(code)
             for shift in range(1, n):
                 width = min(shift, n - shift, r)
                 columns = []
@@ -328,9 +369,9 @@ def test_sweep_matrices_reduce_as_in_natural_order():
                 want = row_reduce(MatrixGF(field, r, tuple(columns)))
                 got = row_reduce(_shift_matrix(code, powers, shift, width))
                 assert got == want, (code, shift)
-                checked += 1
+                reduced += 1
                 deficient += bool(want.free_cols)
-    assert checked > 150 and deficient > 100
+    assert reduced > 150 and deficient > 100
 
 
 def _width_sweep(code, dual_of):
@@ -423,7 +464,7 @@ def test_mirror_shifts_hold_the_swapped_pairs():
     for codes, construction in KERNEL_SAMPLE:
         for code, dual_of in _components(codes, construction)[1]:
             n, field = code.n, code.field
-            powers = _sweep_powers(code.g, n)
+            powers = sweep_powers(code)
             for shift in range(1, n):
                 width = min(shift, n - shift, max(code.r // 2, 1))
                 found = _shortest_pair(code, powers, shift, width)
@@ -447,18 +488,11 @@ def test_mirror_shifts_hold_the_swapped_pairs():
 
 def _even_length_codes():
     """Every code of even length n (GF(2) n <= 12, GF(4) n <= 8) with a
-    generator of degree 1 .. n - 1.  x^n - 1 has repeated roots there: with
-    n = o * 2^k and o odd it is (x^o - 1)^(2^k), so its monic divisors are
-    the products of the factors of x^o - 1, each to a power 0 .. 2^k."""
+    generator of degree 1 .. n - 1, where x^n - 1 has repeated roots
+    (`_divisors`)."""
     for field, construction, top in ((GF2, "css", 12), (GF4, "hermitian", 8)):
         for n in range(2, top + 1, 2):
-            odd, power = n, 1
-            while odd % 2 == 0:
-                odd, power = odd // 2, 2 * power
-            factors = factor_xn_minus_1(odd, field)
-            for powers in product(range(power + 1), repeat=len(factors)):
-                g = prod((p for p, k in zip(factors, powers) for _ in range(k)),
-                         start=Polynomial.one(field))
+            for g in _divisors(n, field):
                 if 1 <= g.degree < n:
                     yield code_from_generator(n, g), construction
 

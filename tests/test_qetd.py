@@ -165,6 +165,14 @@ def test_census_rejects_codes_without_quantum_construction():
     trivial = code_from_generator(5, parse_generator("(1^0)", GF4))  # r = 0
     with pytest.raises(ValueError, match="degree"):
         burst_census(trivial, "hermitian", lmax=1)
+    # an admissible [[21,9]] pair of two distinct codes: the census pairs one
+    # binary code with itself, and (c, c) is that code alone
+    css21 = [code_from_generator(21, parse_generator(text, GF2))
+             for text in ("(1^6 1^4 1^1 1^0)", "(1^6 1^4 1^2 1^1 1^0)")]
+    with pytest.raises(ValueError, match="pairs one binary code with itself"):
+        burst_census(css21, "css", lmax=1)
+    hamming = code_from_generator(7, parse_generator("(1^3 1^1 1^0)", GF2))  # [[7,1]]
+    assert burst_census((hamming, hamming), "css") == burst_census(hamming, "css")
 
 
 def _stabilizer_rows(dual_of):
