@@ -81,6 +81,11 @@ class CyclicCode:
         """Generator polynomial of the Euclidean dual (monic reciprocal of h)."""
         return self.h.reciprocal().monic()
 
+    @cached_property
+    def stabilizer(self) -> Polynomial:
+        """s = conj(dual_g); `dual_containing_codes` stores the s it grows."""
+        return self.dual_g.conjugate()
+
     def __repr__(self) -> str:
         sub = "" if self.field.m == 1 else f"_{self.field.q}"
         return f"CyclicCode([{self.n},{self.k}]{sub}, g={self.g})"
@@ -124,7 +129,7 @@ def in_euclidean_dual(code: CyclicCode, v) -> bool:
 def stabilizer_generator(dual_of: CyclicCode) -> Polynomial:
     """s = conj(dual_g): the generator of the Hermitian dual of `dual_of`
     over GF(4), of its Euclidean dual over GF(2) (conj is the identity)."""
-    return dual_of.dual_g.conjugate()
+    return dual_of.stabilizer
 
 
 def dual_containing_codes(n: int, field: FieldSpec) -> Iterator[tuple[CyclicCode, int]]:
@@ -132,9 +137,10 @@ def dual_containing_codes(n: int, field: FieldSpec) -> Iterator[tuple[CyclicCode
     of its field (Hermitian over GF(4), CSS with itself over GF(2)), with its
     orbit key (see the module docstring).  s is the product of partner(p)
     over the factors p of h, so g | s iff g holds no self-partner factor and
-    at most one of each pair {p, p'}: self-partner factors go to h, and each
-    pair gives (g, h) one of (1, p p'), (p, p') or (p', p), multiplied on
-    along the enumeration tree, so h = (x^n - 1) / g with no division."""
+    at most one of each pair {p, p'}: self-partner factors go to h and s,
+    and each pair gives (g, h, s) one of (1, p p', p p'), (p, p', p) or
+    (p', p, p'), multiplied on along the enumeration tree (short factor
+    first), so h = (x^n - 1) / g takes no division and s no conjugation."""
     factors = factor_xn_minus_1(n, field)
     index = {p: i for i, p in enumerate(factors)}
     rev = [index[p.reciprocal().monic()] for p in factors]
@@ -146,18 +152,21 @@ def dual_containing_codes(n: int, field: FieldSpec) -> Iterator[tuple[CyclicCode
             h *= p
         elif i < j:
             q = factors[j]
-            pairs.append(((one, p * q, [0] * 4),
-                          (p, q, (1 << i, 1 << conj[i], 1 << rev[i], 1 << j)),
-                          (q, p, (1 << j, 1 << conj[j], 1 << rev[j], 1 << i))))
+            pairs.append(((one, p * q, p * q, [0] * 4),
+                          (p, q, p, (1 << i, 1 << conj[i], 1 << rev[i], 1 << j)),
+                          (q, p, q, (1 << j, 1 << conj[j], 1 << rev[j], 1 << i))))
 
-    def grow(depth, g, h, masks):
+    def grow(depth, g, h, s, masks):
         if depth == len(pairs):
-            yield CyclicCode(n, field, g, h), min(masks)
+            code = CyclicCode(n, field, g, h)
+            code.__dict__["stabilizer"] = s  # the cached property, filled in
+            yield code, min(masks)
             return
-        for dg, dh, dmasks in pairs[depth]:
-            yield from grow(depth + 1, g * dg, h * dh, [a | b for a, b in zip(masks, dmasks)])
+        for dg, dh, ds, dmasks in pairs[depth]:
+            yield from grow(depth + 1, g if dg is one else dg * g, dh * h, ds * s,
+                            [a | b for a, b in zip(masks, dmasks)])
 
-    yield from islice(grow(0, one, h, [0] * 4), 1, None)  # skip g = 1
+    yield from islice(grow(0, one, h, h, [0] * 4), 1, None)  # skip g = 1
 
 
 def hermitian_dual_containing(code: CyclicCode) -> bool:

@@ -16,14 +16,14 @@ its entries.  A basis vector is kept as it was reduced, and is scaled
 only when a later column first cancels against it: then its lowest
 nonzero entry is made 1 and it is kept as its doublings x^k * v (the
 step `Polynomial` multiplies by too), from the doublings of the inverse
-of that entry, so one that no column cancels against (most of them, in
-the shift sweep's matrices) is never scaled.  A column cancels its
-lowest nonzero entry c against the basis vector with that pivot by
-XORing the doublings at the set bits of c, so no row operation makes a
-field multiply.  A column whose lowest nonzero entry has no basis
-vector is outside the span of the earlier columns and becomes a pivot;
-a column that cancels to zero is free, and its expression is its
-combination.
+of that entry (`FieldSpec.scalar_doublings`).  So a basis vector that
+no column cancels against (most of them, in the shift sweep's matrices)
+is never scaled.  A column cancels its lowest nonzero entry c against
+the basis vector with that pivot by XORing the doublings at the set bits
+of c, so no row operation makes a field multiply.  A column whose lowest
+nonzero entry has no basis vector is outside the span of the earlier
+columns and becomes a pivot; a column that cancels to zero is free, and
+its expression is its combination.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def row_reduce(m: MatrixGF) -> ReducedForm:
                 inv = f.inv((pivot >> (pos * bits)) & mask)
                 if inv != 1:
                     # x^k (inv v) = (x^k inv) v, and doublings(inv) lists x^k inv
-                    doublings = [_times(doublings, c) for c in f.doublings(inv)]
+                    doublings = [_times(doublings, c) for c in f.scalar_doublings(inv)]
                 scaled[pos] = doublings
             # cancel digit pos: add c times the basis vector, one
             # doubling per set bit of c; only higher digits change

@@ -9,30 +9,32 @@ doublings at the set bits of c, so it never builds the q multiples.
 One packed long division (`_divide`) serves `divmod` and the gcds of the
 factorization (`_monic_gcd`), whose divisors, each used once, are scaled
 from their doublings.  The powers x^j modulo a monic g (`_x_powers`: the
-census tables of qetd, and the columns of the qccburst shift sweep,
-modulo the reciprocal of the code's generator) are stepped by one
-shift-and-reduce each, and the weak Popov bases of the pairs
-x^T a = b (mod g) (`_shift_bases`) by a few cancellations of a leading
-term each, neither with a division.
+census tables of qetd, the columns of the qccburst shift sweep, modulo
+the reciprocal of the code's generator, and the residues of the
+factorization) are stepped by one shift-and-reduce each, and the weak
+Popov bases of the pairs x^T a = b (mod g) (`_shift_bases`) by a few
+cancellations of a leading term each, neither with a division.
 
-x^n - 1 (n coprime to q) is factored over the base field itself by
-Berlekamp splitting.  The coset sums b_C = sum_{j in C} x^j, one per
-cyclotomic coset C of q modulo n, satisfy b_C^q = b_C modulo x^n - 1, so
-each reduces to a constant of GF(q) modulo every irreducible factor, and
-together they tell the factors apart.  Splitting every partial factor p
-into the gcds of p with b_C - c, c in GF(q), therefore ends with one part
-per coset: the irreducible factors.  A part on which b_C reduces to a
-constant takes that one value on all its roots, so it is kept whole
-without its q gcds.  Every candidate generator polynomial of a cyclic
-code of length n is then a subset product of these factors.
+x^n - 1 (n coprime to q) is factored over the base field by Berlekamp
+splitting (Bell Syst. Tech. J. 46, 1967).  The coset sums b_C = sum_{j
+in C} x^j, one per cyclotomic coset C of q modulo n, satisfy b_C^q = b_C
+modulo x^n - 1, so each is a constant of GF(q) modulo every irreducible
+factor, and together they tell the factors apart.  A part p splits at
+the first coset where b_C mod p (the XOR of x^j mod p over j in C, from
+one `_x_powers` list) is no constant, into its gcds with b_C - c, c in
+GF(q), until their degrees add up to deg p; each piece goes on from the
+next coset.  Once there are as many parts as cosets, each is
+irreducible, and every generator of a cyclic code of length n is a
+subset product of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from itertools import count, product
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import count, islice, product
 from math import gcd, prod
+from operator import xor
 from typing import Callable, Iterator
 
 from .galois import FieldSpec, _times, _xor_sums
@@ -323,26 +325,25 @@ def _monic_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 @lru_cache(maxsize=None)
 def _factorization(n: int, field: FieldSpec) -> tuple[Polynomial, ...]:
     cosets = cyclotomic_cosets(n, field.q)
-    parts = [Polynomial.xn_minus_1(field, n)]
-    for coset in cosets:
-        if len(parts) == len(cosets):
-            break
-        members = set(coset)
-        b = Polynomial.make(field, [int(j in members) for j in range(n)])
-        split = []
-        for p in parts:
-            residue = b % p
-            if residue.degree <= 0:
-                # b is one constant on every root of p: p does not split
-                split.append(p)
-                continue
-            for c in field.elements():
-                d = _monic_gcd(p, residue - Polynomial(field, c))
-                if d.degree > 0:
-                    split.append(d)
-        parts = split
-    parts.sort(key=lambda p: (p.degree, p.coeffs))
-    return tuple(parts)
+    todo, done = [(Polynomial.xn_minus_1(field, n), 0)], []  # (part, its first coset)
+    while len(todo) + len(done) < len(cosets):
+        p, first = todo.pop()  # one part at a time: its list is freed in turn
+        powers = list(islice(_x_powers(p), n))
+        for i in range(first, len(cosets)):
+            residue = reduce(xor, map(powers.__getitem__, cosets[i]))
+            if residue >= field.q:  # b_C mod p is no constant: p splits
+                break
+        else:
+            done.append(p)
+            continue
+        left = p.degree
+        for c in field.elements():
+            d = _monic_gcd(p, Polynomial(field, residue ^ c))
+            if d.degree > 0:
+                todo.append((d, i + 1))
+                if not (left := left - d.degree):
+                    break
+    return tuple(sorted(done + [p for p, _ in todo], key=lambda p: (p.degree, p.coeffs)))
 
 
 def factor_xn_minus_1(n: int, field: FieldSpec) -> list[Polynomial]:

@@ -25,8 +25,8 @@ permutation, which leaves the reduced form as it is and spares most of
 the cancellations (`_shortest_pair`).  Below r/2 every pair of the
 shift is a polynomial multiple of the minimal one, and the stabilizers
 form an ideal, so that one pair decides every width at T: it is
-degenerate iff s divides e - f.  The sweep conjugates s once, at its
-first pair, and tests each pair by one remainder of the packed e - f.
+degenerate iff s divides e - f.  The sweep reads s once, and tests
+each pair by one remainder of the packed e - f.
 
 L is then the least d(T) over the shifts with a nondegenerate minimal
 pair, and ell0 the least d(T) over all shifts, each capped at floor(r/2)
@@ -53,6 +53,7 @@ independent oracle for small lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from operator import xor
 
@@ -186,6 +187,19 @@ class QccReport:
     def delta(self) -> int:
         return reiger_delta(self.n, self.K, self.L)
 
+    @cached_property
+    def notation(self) -> tuple[str, ...]:
+        """The generators in table notation, written once (`searchcli`)."""
+        return tuple(map(_table_notation, self.generators))
+
+
+def _table_notation(coeffs: tuple[int, ...]) -> str:
+    """Table notation: "(c^e ...)", nonzero c by decreasing exponent e."""
+    terms = [f"{coeffs[e]}^{e}" for e in range(len(coeffs) - 1, -1, -1) if coeffs[e]]
+    if not terms:
+        raise ValueError("cannot emit the zero polynomial")
+    return "(" + " ".join(terms) + ")"
+
 
 def reiger_delta(n: int, K: int, L: int) -> int:
     """Distance n - K - 4L to the quantum Reiger bound."""
@@ -248,7 +262,7 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None, floor: int = 
     if L < floor:
         return L, ell0, flags
     powers = list(islice(_x_powers(code.g.reciprocal().monic()), n))
-    s = None  # the stabilizer generator, conjugated at the first pair
+    s = None if dual_of is None else stabilizer_generator(dual_of)
     for shift in range(1, n // 2 + 1):
         if not limit:
             break
@@ -257,11 +271,8 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None, floor: int = 
             continue
         d, e, f = found
         ell0 = min(ell0, d)
-        if dual_of is not None:
-            if s is None:
-                s = stabilizer_generator(dual_of)
-            if (Polynomial.make(code.field, map(xor, e, f)) % s).is_zero:
-                continue  # a harmless pair
+        if s is not None and (Polynomial.make(code.field, map(xor, e, f)) % s).is_zero:
+            continue  # a harmless pair
         L = limit = d
         flags = ()
         if L < floor:

@@ -30,7 +30,7 @@ from pathlib import Path
 from .cycliccode import MAX_LENGTH, code_from_generator, dual_containing_codes
 from .galois import GF2, GF4, FieldSpec
 from .polyring import Polynomial
-from .qccburst import QccReport, _components, _sweep_report, qcc_burst_limit
+from .qccburst import QccReport, _components, _sweep_report, _table_notation, qcc_burst_limit
 from .qetd import QetdStats, burst_census
 from .qrsburst import rs_image_burst_limit, rs_make
 
@@ -71,13 +71,7 @@ def parse_generator(text: str, field: FieldSpec) -> Polynomial:
 
 def emit_generator(p: Polynomial | tuple[int, ...]) -> str:
     """Inverse of parse_generator (round-trips exactly)."""
-    coeffs = p.coeffs if isinstance(p, Polynomial) else tuple(p)
-    terms = [
-        f"{c}^{e}" for e, c in sorted(enumerate(coeffs), reverse=True) if c
-    ]
-    if not terms:
-        raise ValueError("cannot emit the zero polynomial")
-    return "(" + " ".join(terms) + ")"
+    return _table_notation(p.coeffs if isinstance(p, Polynomial) else tuple(p))
 
 
 def _codes(n: int, gens, construction: str):
@@ -122,7 +116,7 @@ class SearchJob:
 
 
 def _report_sort_key(r: QccReport):
-    return (r.n, r.K, r.construction, tuple(emit_generator(g) for g in r.generators))
+    return (r.n, r.K, r.construction, r.notation)
 
 
 def search(job: SearchJob) -> list[QccReport]:
@@ -163,7 +157,7 @@ def report_as_dict(r: QccReport) -> dict:
         "ell0": r.ell0,
         "delta": r.delta,
         "construction": r.construction,
-        "generators": [emit_generator(g) for g in r.generators],
+        "generators": list(r.notation),
         "flags": list(r.flags),
     }
 
@@ -179,7 +173,7 @@ def report_emit(reports, fmt: str = "json") -> bytes:
     if fmt == "csv":
         lines = ["delta,code,L,generators"]
         for r in reports:
-            gens = ";".join(emit_generator(g) for g in r.generators)
+            gens = ";".join(r.notation)
             lines.append(f'{r.delta},"[[{r.n},{r.K}]]",{r.L},"{gens}"')
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {fmt!r}")

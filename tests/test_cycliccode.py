@@ -211,6 +211,19 @@ def test_orbit_keys_match_polynomial_orbits():
     assert codes == 21960
 
 
+@pytest.mark.parametrize("field", [GF4, GF2], ids=["gf4", "gf2"])
+def test_tree_stabilizer_is_the_conjugated_dual_generator(field):
+    # the s that the enumeration tree grows on the factor mask, stored in
+    # each code it yields, is conj(dual_g) computed from h: every odd n <= 45
+    codes = 0
+    for n in range(1, 46, 2):
+        for code, _ in dual_containing_codes(n, field):
+            assert vars(code)["stabilizer"] == code.dual_g.conjugate(), code
+            assert stabilizer_generator(code) is vars(code)["stabilizer"], code
+            codes += 1
+    assert codes == {GF4: 462, GF2: 58}[field]
+
+
 def test_dual_membership():
     # rows of H span the Euclidean dual; their conjugates the Hermitian
     # dual, which the stabilizer generator generates

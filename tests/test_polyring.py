@@ -1,5 +1,6 @@
 import hashlib
 from itertools import islice
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,34 +225,40 @@ def test_factor_length_one():
     assert [f.coeffs for f in factor_xn_minus_1(1, GF2)] == [(1, 1)]
 
 
+def _is_complete_factorization(n, field, factors):
+    """The irreducibility oracle: x^n - 1 has one irreducible factor per
+    cyclotomic coset, so distinct monic factors of degree >= 1 whose product
+    is x^n - 1, as many as the cosets, are exactly those factors."""
+    cosets = cyclotomic_cosets(n, field.q)
+    return (
+        len(factors) == len(set(factors)) == len(cosets)
+        and all(f.is_monic and f.degree >= 1 for f in factors)
+        and prod(factors, start=Polynomial.one(field)) == Polynomial.xn_minus_1(field, n)
+        and sorted(map(len, cosets)) == sorted(f.degree for f in factors)
+    )
+
+
 @pytest.mark.parametrize("field", [GF2, GF4], ids=["gf2", "gf4"])
 def test_factor_product_reconstructs(field):
     # Covers lengths whose x^n - 1 has factors of high degree, such as
     # n = 53, 59 and 61 (degrees 52, 58 and 60 over GF(2)).
-    for n in range(1, 130, 2):
-        factors = factor_xn_minus_1(n, field)
-        assert sum(f.degree for f in factors) == n
-        prod = Polynomial.one(field)
-        for f in factors:
-            assert f.is_monic
-            prod = prod * f
-        assert prod == Polynomial.xn_minus_1(field, n)
-        sizes = sorted(len(c) for c in cyclotomic_cosets(n, field.q))
-        assert sizes == sorted(f.degree for f in factors)
+    for n in range(1, 256, 2):
+        assert _is_complete_factorization(n, field, factor_xn_minus_1(n, field)), n
 
 
 @pytest.mark.parametrize(
     "field,digest",
-    [(GF2, "359868150377223ccc00e258540c7cccbb90fa2cb8a1045d165616356e3bc59f"),
-     (GF4, "54e55fba37be123ccda3e5955453d7f0bfc87ca014fdd2038e542d8ced5d4cb0")],
+    [(GF2, "5233ab076fc73fd6df5cfe8f9b6e5fec7ff9ff79939b41d1f4d52fa52bd64be3"),
+     (GF4, "56193fbb088e6e2f287d3fcc36971ba03fe3ec5335a890c8edc0631d03441e86")],
     ids=["gf2", "gf4"],
 )
 def test_factor_lists_are_pinned(field, digest):
-    # the sorted factor lists of every odd n < 130, byte for byte: the
+    # the sorted factor lists of every odd n <= 255, byte for byte, as the
+    # splitting by long division of the coset indicators gave them: the
     # order of `divisor_generators` and of every search rests on them
     text = "\n".join(
         f"{n}: " + " ".join(str(p.bits) for p in factor_xn_minus_1(n, field))
-        for n in range(1, 130, 2)
+        for n in range(1, 256, 2)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

@@ -146,6 +146,22 @@ def test_not_dual_containing_rejected():
         brute_force_limit(parity, "css")
 
 
+@pytest.mark.parametrize("field,construction", [(GF4, "hermitian"), (GF2, "css")],
+                         ids=["gf4", "gf2"])
+def test_construction_check_reads_the_stored_stabilizer(field, construction):
+    # mutation: a tree-built code carrying a wrong s (s + 1, which g of
+    # degree >= 1 does not divide) fails the construction check
+    codes = 0
+    for n in (15, 21, 31):
+        for code, _ in dual_containing_codes(n, field):
+            _components(code, construction)
+            vars(code)["stabilizer"] += Polynomial.one(field)
+            with pytest.raises(NotDualContaining):
+                _components(code, construction)
+            codes += 1
+    assert codes == {GF4: 78, GF2: 36}[field]
+
+
 def test_generator_of_degree_zero_rejected():
     # g = 1 leaves no stabilizer (r = 0): [[7,7]] is no quantum code to report
     for codes, construction in (
