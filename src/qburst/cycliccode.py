@@ -21,10 +21,16 @@ Conventions (0-based positions throughout):
   confusing e with f is harmless iff s | e - f.
 * `dual_containing_codes` holds a code as a mask over the factors of
   x^n - 1.  Reversal (monic reciprocal) and conjugation are permutations
-  rev and conj of the factor indices, the partner map is conj o rev, and
-  the orbit key is the least of the masks of g, conj(g), rev(g) and
-  conj(rev(g)).  Both maps keep burst lengths and commute with the partner
-  map, so the codes of one key share K and every burst limit.
+  rev and conj of the factor indices, and the partner map is conj o rev.
+  Over GF(4) with 3 | n the twist g(x) -> g(wx) / w^deg g is a third one:
+  w^n = 1, so it maps the divisors of x^n - 1 to divisors; it scales
+  position i by w^i, so it keeps every support; and it keeps the
+  Hermitian form, as w^i conj(w^i) = w^(3i) = 1.  rev o twist =
+  twist^2 o rev, and likewise for conj, so the three maps generate a
+  group of 12 index permutations (4 without the twist).  Every map of
+  the group keeps burst lengths and commutes with the partner map, so
+  the codes whose masks share an orbit share K and every burst limit;
+  the orbit key is the least mask of the orbit.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from functools import cached_property
 from itertools import islice, product
 from typing import Iterator
 
-from .galois import FieldSpec
+from .galois import OMEGA, FieldSpec
 from .matgf import MatrixGF
 from .polyring import Polynomial, factor_xn_minus_1
 
@@ -48,7 +54,6 @@ class CyclicCode:
     n: int
     field: FieldSpec
     g: Polynomial
-    h: Polynomial
 
     @property
     def r(self) -> int:
@@ -77,6 +82,12 @@ class CyclicCode:
         ))
 
     @cached_property
+    def h(self) -> Polynomial:
+        """Parity-check polynomial (x^n - 1) / g; `code_from_generator`
+        fills it in from the division that checks g."""
+        return divmod(Polynomial.xn_minus_1(self.field, self.n), self.g)[0]
+
+    @cached_property
     def dual_g(self) -> Polynomial:
         """Generator polynomial of the Euclidean dual (monic reciprocal of h)."""
         return self.h.reciprocal().monic()
@@ -101,7 +112,9 @@ def code_from_generator(n: int, g: Polynomial) -> CyclicCode:
     h, rem = divmod(xn1, g)
     if not rem.is_zero:
         raise ValueError(f"{g!r} does not divide x^{n} - 1 over GF({field.q})")
-    return CyclicCode(n, field, g, h)
+    code = CyclicCode(n, field, g)
+    code.__dict__["h"] = h  # the cached property, filled in
+    return code
 
 
 def vector_poly(code: CyclicCode, v) -> Polynomial:
@@ -132,41 +145,55 @@ def stabilizer_generator(dual_of: CyclicCode) -> Polynomial:
     return dual_of.stabilizer
 
 
+def _twist(p: Polynomial) -> Polynomial:
+    """p(wx) over GF(4), made monic: digit i times w^i."""
+    f = p.field
+    return Polynomial.make(f, (f.mul(c, f.pow(OMEGA, i)) for i, c in enumerate(p.coeffs))).monic()
+
+
 def dual_containing_codes(n: int, field: FieldSpec) -> Iterator[tuple[CyclicCode, int]]:
     """Every code of length n with deg g >= 1 admissible for the construction
     of its field (Hermitian over GF(4), CSS with itself over GF(2)), with its
     orbit key (see the module docstring).  s is the product of partner(p)
     over the factors p of h, so g | s iff g holds no self-partner factor and
-    at most one of each pair {p, p'}: self-partner factors go to h and s,
-    and each pair gives (g, h, s) one of (1, p p', p p'), (p, p', p) or
-    (p', p, p'), multiplied on along the enumeration tree (short factor
-    first), so h = (x^n - 1) / g takes no division and s no conjugation."""
+    at most one of each pair {p, p'}: self-partner factors go to s, and each
+    pair gives (g, s) one of (1, p p'), (p, p) or (p', p'), multiplied on
+    along the enumeration tree (short factor first), so s takes no
+    conjugation; h is left to the cached property, which no search reads.
+    Each choice ORs the images of its factor under every map of the group
+    into one mask per map, whose least at a leaf is the key."""
     factors = factor_xn_minus_1(n, field)
     index = {p: i for i, p in enumerate(factors)}
     rev = [index[p.reciprocal().monic()] for p in factors]
     conj = [index[p.conjugate()] for p in factors]
-    one, h, pairs = Polynomial.one(field), Polynomial.one(field), []
+    partner = [conj[i] for i in rev]
+    maps = [range(len(factors)), conj, rev, partner]
+    if field.m == 2 and n % 3 == 0:
+        twist = [index[_twist(p)] for p in factors]
+        for _ in range(2):  # twist, then twist^2, after each of the four
+            maps += [[twist[i] for i in perm] for perm in maps[-4:]]
+    one, s, pairs = Polynomial.one(field), Polynomial.one(field), []
     for i, p in enumerate(factors):
-        j = conj[rev[i]]
+        j = partner[i]
         if j == i:
-            h *= p
+            s *= p
         elif i < j:
             q = factors[j]
-            pairs.append(((one, p * q, p * q, [0] * 4),
-                          (p, q, p, (1 << i, 1 << conj[i], 1 << rev[i], 1 << j)),
-                          (q, p, q, (1 << j, 1 << conj[j], 1 << rev[j], 1 << i))))
+            pairs.append(((one, p * q, [0] * len(maps)),
+                          (p, p, [1 << perm[i] for perm in maps]),
+                          (q, q, [1 << perm[j] for perm in maps])))
 
-    def grow(depth, g, h, s, masks):
+    def grow(depth, g, s, masks):
         if depth == len(pairs):
-            code = CyclicCode(n, field, g, h)
+            code = CyclicCode(n, field, g)
             code.__dict__["stabilizer"] = s  # the cached property, filled in
             yield code, min(masks)
             return
-        for dg, dh, ds, dmasks in pairs[depth]:
-            yield from grow(depth + 1, g if dg is one else dg * g, dh * h, ds * s,
+        for dg, ds, dmasks in pairs[depth]:
+            yield from grow(depth + 1, g if dg is one else dg * g, ds * s,
                             [a | b for a, b in zip(masks, dmasks)])
 
-    yield from islice(grow(0, one, h, h, [0] * 4), 1, None)  # skip g = 1
+    yield from islice(grow(0, one, s, [0] * len(maps)), 1, None)  # skip g = 1
 
 
 def hermitian_dual_containing(code: CyclicCode) -> bool:

@@ -22,10 +22,11 @@ modulo x^n - 1, so each is a constant of GF(q) modulo every irreducible
 factor, and together they tell the factors apart.  A part p splits at
 the first coset where b_C mod p (the XOR of x^j mod p over j in C, from
 one `_x_powers` list) is no constant, into its gcds with b_C - c, c in
-GF(q), until their degrees add up to deg p; each piece goes on from the
-next coset.  Once there are as many parts as cosets, each is
-irreducible, and every generator of a cyclic code of length n is a
-subset product of them.
+GF(q): each gcd is taken with what is left of p once the pieces before
+it are divided out, and the piece of the last c is what is left, with
+no gcd.  Each piece goes on from the next coset.  Once there are as
+many parts as cosets, each is irreducible, and every generator of a
+cyclic code of length n is a subset product of them.
 """
 
 from __future__ import annotations
@@ -336,13 +337,13 @@ def _factorization(n: int, field: FieldSpec) -> tuple[Polynomial, ...]:
         else:
             done.append(p)
             continue
-        left = p.degree
-        for c in field.elements():
+        for c in range(field.q - 1):
             d = _monic_gcd(p, Polynomial(field, residue ^ c))
             if d.degree > 0:
                 todo.append((d, i + 1))
-                if not (left := left - d.degree):
-                    break
+                p = divmod(p, d)[0]
+        if p.degree > 0:  # what is left is the gcd with b_C - (q - 1)
+            todo.append((p, i + 1))
     return tuple(sorted(done + [p for p, _ in todo], key=lambda p: (p.degree, p.coeffs)))
 
 

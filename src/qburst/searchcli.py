@@ -8,10 +8,12 @@ strictly decreasing and ending at 0.
 The search takes each length's dual-containing codes, with their orbit
 keys, from `cycliccode.dual_containing_codes`, checks each code's
 construction, and emits reports sorted canonically.  The burst-limit sweep
-runs once per orbit under reversing positions and conjugating digits (the
-key: the least of a code's factor mask and its three images): both maps
-keep burst lengths and commute with the partner map conj o rev that fixes
-the stabilizer, so every member shares K and the limits of the first.
+runs once per orbit of the group that reversing positions, conjugating
+digits and, over GF(4) with 3 | n, the twist x -> wx generate (the key:
+the least of a code's factor mask and its up to 11 images): each map
+keeps burst lengths and commutes with the partner map conj o rev that
+fixes the stabilizer, so every member shares K and the limits of the
+first, and its report is built from those and its own generator.
 With `--delta-max` a sweep stops as soon as its L has fallen below what
 that delta needs; the partial report of such an orbit fails the delta
 filter, so neither it nor any member is emitted (`search`).
@@ -23,7 +25,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -140,7 +142,9 @@ def search(job: SearchJob) -> list[QccReport]:
         for code, key in dual_containing_codes(n, field):
             K, sweeps = _components(code, construction)
             if key in orbits:
-                report = replace(orbits[key], generators=(code.g.coeffs,))
+                first = orbits[key]
+                report = QccReport(n, K, first.L, first.ell0, construction,
+                                   (code.g.coeffs,), first.flags)
             else:
                 floor = 0 if job.delta_max is None else -(-(n - K - job.delta_max) // 4)
                 report = orbits[key] = _sweep_report(K, sweeps, construction, floor)

@@ -19,11 +19,32 @@ from qburst.cycliccode import (
     syndrome,
     vector_poly,
 )
-from qburst.qccburst import classical_burst_limit, window_pairs
+from qburst.qccburst import brute_force_limit, classical_burst_limit, qcc_burst_limit, window_pairs
 
 
 def P(field, *coeffs):
     return Polynomial.make(field, coeffs)
+
+
+# the digits i = k (mod 3) of a packed GF(4) polynomial of degree < 66,
+# and the low bit of every digit
+_DIGITS_MOD_3 = [sum(3 << 2 * i for i in range(k, 66, 3)) for k in range(3)]
+_LOW_BITS = int("01" * 66, 2)
+
+
+def twisted(g):
+    """g(wx) / w^r over GF(4), r = deg g < 66: the digits i = k (mod 3) of
+    g times w^(k - r).  w (a0 + a1 w) = a1 + (a0 + a1) w, as w^2 = w + 1,
+    so one step of w moves every digit's high bit down and XORs both bits
+    into the high bit."""
+    out = 0
+    for k, digits in enumerate(_DIGITS_MOD_3):
+        part = g.bits & digits
+        for _ in range((k - g.degree) % 3):
+            low, high = part & _LOW_BITS, part >> 1 & _LOW_BITS
+            part = high | (low ^ high) << 1
+        out |= part
+    return Polynomial(GF4, out)
 
 
 HAMMING = code_from_generator(7, P(GF2, 1, 1, 0, 1))
@@ -152,10 +173,9 @@ def test_dual_containing_divisibility_matches_matrix_product():
 def test_dual_containing_codes_match_divisibility_oracle(field):
     # the partner-pair enumerator yields exactly the divisors 1 <= deg g < n
     # that the divisibility test admits, each once, including lengths whose
-    # admissible set is empty (GF(2) n = 1, 3, 5), and h = (x^n - 1) / g
-    # built without a division.  The divisibility test and the enumerator
-    # rest on the same partner map, so H H^dagger = 0 (H H^T = 0) is
-    # checked beside it.
+    # admissible set is empty (GF(2) n = 1, 3, 5), and h = (x^n - 1) / g.
+    # The divisibility test and the enumerator rest on the same partner
+    # map, so H H^dagger = 0 (H H^T = 0) is checked beside it.
     def admits(code):
         if field is GF4:
             admitted = hermitian_dual_containing(code)
@@ -189,11 +209,17 @@ def test_dual_containing_codes_match_divisibility_oracle(field):
 def test_orbit_keys_match_polynomial_orbits():
     # oracle for the mask keys: codes share a key exactly when they share
     # the least `.bits` of g, conj(g), rev(g) = monic(reciprocal(g)) and
-    # conj(rev(g)), computed on the polynomials; and the construction of
-    # the field admits every code.  Every odd n <= 65 in both fields.
-    def polynomial_key(g):
+    # conj(rev(g)), and over GF(4) with 3 | n of the twists p(wx) / w^r
+    # and p(w^2 x) / w^2r of those four, computed on the polynomials; and
+    # the construction of the field admits every code.  Every odd n <= 65
+    # in both fields.
+    def polynomial_key(g, n):
         rev = g.reciprocal().monic()
-        return min(p.bits for p in (g, g.conjugate(), rev, rev.conjugate()))
+        images = [g, g.conjugate(), rev, rev.conjugate()]
+        if g.field is GF4 and n % 3 == 0:
+            images += [twisted(p) for p in images]
+            images += [twisted(p) for p in images[4:]]
+        return min(p.bits for p in images)
 
     codes = 0
     for field in (GF4, GF2):
@@ -205,10 +231,30 @@ def test_orbit_keys_match_polynomial_orbits():
                 else:
                     assert css_dual_containing(code, code), code
                 by_key.setdefault(key, []).append(code.g.bits)
-                by_polynomial.setdefault(polynomial_key(code.g), []).append(code.g.bits)
+                by_polynomial.setdefault(polynomial_key(code.g, n), []).append(code.g.bits)
                 codes += 1
             assert sorted(by_key.values()) == sorted(by_polynomial.values()), (field, n)
     assert codes == 21960
+
+
+def test_twist_keeps_every_limit():
+    # the law behind the twist orbits: over GF(4) with 3 | n, x -> wx maps
+    # every admissible code to an admissible one with the same K, L, ell0
+    # and flags, by the shift sweep at every such n <= 45, and by the
+    # exhaustive oracle (bursts up to 5 long) at n <= 21
+    codes = 0
+    for n in range(3, 46, 6):
+        for tree_code, _ in dual_containing_codes(n, GF4):
+            code = code_from_generator(n, tree_code.g)
+            twin = code_from_generator(n, twisted(code.g))
+            assert hermitian_dual_containing(twin), twin
+            a, b = qcc_burst_limit(code, "hermitian"), qcc_burst_limit(twin, "hermitian")
+            assert (a.K, a.L, a.ell0, a.flags) == (b.K, b.L, b.ell0, b.flags), code
+            if n <= 21:
+                cap = min(code.r // 2, 5)
+                assert brute_force_limit(code, cap=cap) == brute_force_limit(twin, cap=cap), code
+            codes += 1
+    assert codes == 320
 
 
 @pytest.mark.parametrize("field", [GF4, GF2], ids=["gf4", "gf2"])

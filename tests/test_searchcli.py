@@ -84,14 +84,16 @@ def test_search_includes_known_codes():
 def test_search_builds_only_admissible_codes(monkeypatch):
     # n = 45 over GF(4) has 32,766 divisors with 1 <= deg g < 45; only the
     # 3^5 - 1 = 242 admissible ones are built, and none is rejected.  They
-    # fall into 69 reversal/conjugation orbits, one limit sweep each.  No
-    # generator is divided out of x^n - 1 (`code_from_generator`).
+    # fall into 33 orbits under reversal, conjugation and the twist
+    # x -> wx (3 | 45), one limit sweep each (69 under the first two
+    # alone).  No generator is divided out of x^n - 1
+    # (`code_from_generator`), and no code builds its h.
     built, divided, rejected, swept = [], [], [], []
     enumerate_codes = qburst.searchcli.dual_containing_codes
 
     def recording(n, field):
         for code, key in enumerate_codes(n, field):
-            built.append(code.g)
+            built.append(code)
             yield code, key
 
     monkeypatch.setattr("qburst.searchcli.dual_containing_codes", recording)
@@ -102,17 +104,21 @@ def test_search_builds_only_admissible_codes(monkeypatch):
         "qburst.qccburst._component_sweep", lambda *a: swept.append(a) or sweep(*a)
     )
     reports = search(SearchJob(45, 45, "gf4"))
-    assert len(built) == len(set(built)) == len(reports) == 242
+    assert len(built) == len({code.g for code in built}) == len(reports) == 242
     assert divided == rejected == []
-    assert len(swept) == 69
+    assert len(swept) == 33
+    assert not any("h" in vars(code) for code in built)
 
 
-@pytest.mark.parametrize("field,count", [("gf4", 104), ("gf2", 40)], ids=["gf4", "gf2"])
-def test_search_orbit_members_match_direct_limits(field, count):
+@pytest.mark.parametrize("field,lengths,count", [
+    ("gf4", range(3, 32, 2), 104), ("gf2", range(3, 32, 2), 40), ("gf4", (39, 45), 268),
+], ids=["gf4", "gf2", "gf4-twist"])
+def test_search_orbit_members_match_direct_limits(field, lengths, count):
     # oracle for the shared sweep: every report equals the limits of its
-    # own code, computed directly
+    # own code, computed directly; n = 39 and 45 have orbits that only the
+    # twist x -> wx joins
     f = GF4 if field == "gf4" else GF2
-    reports = search(SearchJob(3, 31, field))
+    reports = [r for n in lengths for r in search(SearchJob(n, n, field))]
     assert len(reports) == count
     for r in reports:
         (g,) = r.generators
