@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, product
+from itertools import product
 from typing import Iterator
 
 from .galois import OMEGA, FieldSpec
@@ -183,17 +183,24 @@ def dual_containing_codes(n: int, field: FieldSpec) -> Iterator[tuple[CyclicCode
                           (p, p, [1 << perm[i] for perm in maps]),
                           (q, q, [1 << perm[j] for perm in maps])))
 
-    def grow(depth, g, s, masks):
-        if depth == len(pairs):
-            code = CyclicCode(n, field, g)
-            code.__dict__["stabilizer"] = s  # the cached property, filled in
-            yield code, min(masks)
-            return
+    # depth first, the first choice of each pair first, from an explicit
+    # stack of the inner nodes: each (g, s, masks) is built once from its
+    # parent's, and the last pair's choices make the codes themselves
+    last = len(pairs) - 1
+    stack = [(0, one, s, [0] * len(maps))] if pairs else []
+    while stack:
+        depth, g, s, masks = stack.pop()
+        if depth < last:
+            for dg, ds, dmasks in reversed(pairs[depth]):
+                stack.append((depth + 1, g if dg is one else dg * g, ds * s,
+                              [a | b for a, b in zip(masks, dmasks)]))
+            continue
         for dg, ds, dmasks in pairs[depth]:
-            yield from grow(depth + 1, g if dg is one else dg * g, ds * s,
-                            [a | b for a, b in zip(masks, dmasks)])
-
-    yield from islice(grow(0, one, s, [0] * len(maps)), 1, None)  # skip g = 1
+            if g is one and dg is one:  # skip g = 1
+                continue
+            code = CyclicCode(n, field, g if dg is one else dg * g)
+            code.__dict__["stabilizer"] = ds * s  # the cached property, filled in
+            yield code, min(a | b for a, b in zip(masks, dmasks))
 
 
 def hermitian_dual_containing(code: CyclicCode) -> bool:

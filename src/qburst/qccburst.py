@@ -41,6 +41,17 @@ pair's e' - f' is x^(n-T) (f - e) mod x^n - 1, and s divides x^n - 1,
 so s divides one iff it divides the other.  The sweep therefore reduces
 only the shifts T = 1 .. n // 2 (T = n/2, at even n, is its own mirror).
 
+It also skips the shifts that the span bound decides.  A pair of width
+W <= T at shift T is the nonzero x^T a - b, supported on [0, W) and
+[T, T + W): one burst of length T + W.  g has degree r, so it divides
+no nonzero burst of length <= r (a cyclic code with r check digits
+detects every such burst), and the shift is full rank at every W with
+T + W <= r.  The sweep needs no width above its limit, the best L so
+far, which is at most r // 2 (or 1), so it reduces only the shifts with
+T + limit > r, all of them at width exactly `limit`.  The bound is
+tight: at T + W = r + 1 the burst can be c g itself, which fits the two
+windows when the digits W .. T - 1 of g are zero.
+
 `window_pairs` keeps the window row reduction itself as an oracle: the
 tests check the shift kernel and the Reed-Solomon window kernel
 (`qrsburst`, by a shift basis at width hbar + 1, above r/2) against it,
@@ -248,15 +259,19 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None, floor: int = 
     the exact one, and its ell0 and flags are not final.  With the default
     floor 0 the result is exact.
 
-    Each shift T = 1 .. n // 2 is reduced once, at width min(T, limit),
-    where the limit is the best L so far (1 while the cap is 0, so that
-    single-error collisions are still found): only a d(T) below it can
-    lower L, or lower ell0 below L.  The shifts above n // 2 are skipped:
-    shift n - T has the pairs of T swapped, hence the same d and the same
-    degeneracy (module docstring).
+    Each shift is reduced at most once, at width `limit`, the best L so
+    far (1 while the cap is 0, so that single-error collisions are still
+    found): only a d(T) below it can lower L, or lower ell0 below L.  A
+    pair of width W <= T at shift T is the nonzero x^T a - b, one burst of
+    length T + W, and g divides no burst of length <= r, so a shift with
+    T + limit <= r is full rank and is skipped.  The limit is at most
+    r // 2 (or 1), so a shift with T < limit has 2T <= r and is skipped
+    too: every reduced shift has T >= limit.  Nor are the shifts above
+    n // 2 reduced: shift n - T has the pairs of T swapped, hence
+    the same d and the same degeneracy (module docstring).
     """
-    n = code.n
-    L = ell0 = code.r // 2
+    n, r = code.n, code.r
+    L = ell0 = r // 2
     limit = max(L, 1)
     flags = ("cap-limited",)
     if L < floor:
@@ -266,7 +281,9 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None, floor: int = 
     for shift in range(1, n // 2 + 1):
         if not limit:
             break
-        found = _shortest_pair(code, powers, shift, min(shift, limit))
+        if shift + limit <= r:
+            continue  # the span bound: full rank
+        found = _shortest_pair(code, powers, shift, limit)
         if found is None:
             continue
         d, e, f = found

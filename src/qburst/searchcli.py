@@ -133,22 +133,26 @@ def search(job: SearchJob) -> list[QccReport]:
     when the floor is above the Reiger cap r // 2 (every odd r at
     delta_max 0).  The report of such an orbit is partial, but its L is
     below the floor, hence its delta above delta_max: the filter below
-    drops it, and with it every member that takes it.  Without delta_max
-    the floor is 0 and every report is exact."""
+    drops it, and the other members of a dropped orbit are checked but
+    get no report.  Without delta_max the floor is 0 and every report is
+    exact."""
     field, construction = FIELDS[job.field], CONSTRUCTIONS[job.field]
     reports = []
     for n in job.lengths():
-        orbits: dict[int, QccReport] = {}
+        orbits: dict[int, QccReport | None] = {}  # None: the orbit fails the filter
         for code, key in dual_containing_codes(n, field):
             K, sweeps = _components(code, construction)
             if key in orbits:
                 first = orbits[key]
-                report = QccReport(n, K, first.L, first.ell0, construction,
-                                   (code.g.coeffs,), first.flags)
-            else:
-                floor = 0 if job.delta_max is None else -(-(n - K - job.delta_max) // 4)
-                report = orbits[key] = _sweep_report(K, sweeps, construction, floor)
-            if job.delta_max is None or report.delta <= job.delta_max:
+                if first is not None:
+                    reports.append(QccReport(n, K, first.L, first.ell0, construction,
+                                             (code.g.coeffs,), first.flags))
+                continue
+            floor = 0 if job.delta_max is None else -(-(n - K - job.delta_max) // 4)
+            report = _sweep_report(K, sweeps, construction, floor)
+            passed = job.delta_max is None or report.delta <= job.delta_max
+            orbits[key] = report if passed else None
+            if passed:
                 reports.append(report)
     return sorted(reports, key=_report_sort_key)
 

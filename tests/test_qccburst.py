@@ -348,8 +348,17 @@ def test_sweep_matrices_reduce_as_in_natural_order():
     # every divisor g of x^n - 1, n <= 31, at every width up to
     # min(T, n - T, r), holds the natural-order columns x^(T+i) mod g and u_i,
     # interleaved by degree i, with their digits reversed (GF(4) skips n = 30,
-    # whose 19,683 divisors would take 40 s)
-    checked = 0
+    # whose 19,683 divisors would take 40 s).
+    # The span bound that the sweep skips by: a pair of width W <= T at
+    # shift T is the nonzero burst x^T a - b of length T + W, which g divides
+    # only when T + W > r, so every shift is full rank at every W <= T with
+    # T + W <= r (None at the widest such W: d(T) >= W, so at every narrower
+    # one too).  At T + W = r + 1 the burst is c g itself, so the shift is
+    # deficient iff the digits W .. T - 1 of g are zero, and some shift the
+    # sweep reduces (W <= r // 2) is: the bound is tight.  The classical
+    # sweep, which skips by that bound, gives the least d(T) of all shifts
+    # T = 1 .. n // 2, each reduced at width min(T, cap)
+    checked = tight = 0
     for field in (GF2, GF4):
         for n in range(1, 32):
             if field is GF4 and n == 30:
@@ -369,7 +378,20 @@ def test_sweep_matrices_reduce_as_in_natural_order():
                         got = _shift_matrix(code, powers, shift, width)
                         assert got.rows == r and list(got.columns) == want[:2 * width], (g, shift)
                         checked += 1
-    assert checked > 10**5
+                for shift in range(1, r):
+                    assert _shortest_pair(code, powers, shift, min(shift, r - shift)) is None, g
+                for width in range(1, (r + 1) // 2 + 1):
+                    shift = r + 1 - width
+                    if shift < n:
+                        found = _shortest_pair(code, powers, shift, width)
+                        assert (found is not None) == (not any(g.coeffs[width:shift])), g
+                        tight += found is not None and width <= r // 2
+                cap = max(r // 2, 1)
+                minimal = (_shortest_pair(code, powers, shift, min(shift, cap))
+                           for shift in range(1, n // 2 + 1))
+                assert classical_burst_limit(code) == min(
+                    [r // 2] + [pair[0] for pair in minimal if pair is not None]), g
+    assert checked > 10**5 and tight > 0
     # that row permutation leaves the reduced form of every shift matrix as it is
     reduced = deficient = 0
     for codes, construction in KERNEL_SAMPLE:
@@ -456,15 +478,23 @@ def test_limits_match_width_sweep():
 
 
 def test_one_row_reduction_per_shift(monkeypatch):
-    # one reduction per shift T = 1 .. n // 2: shift n - T mirrors T
+    # at most one reduction per shift T = 1 .. n // 2 (shift n - T mirrors
+    # T), and none where T + limit <= r (the span bound); the cap-limited
+    # [[45,9]] keeps limit = r // 2 = 9, so it reduces exactly the shifts
+    # T = r - r // 2 + 1 .. n // 2, each at width r // 2
     calls = []
     reduce_ = qccburst.row_reduce
     monkeypatch.setattr(qccburst, "row_reduce", lambda m: calls.append(m) or reduce_(m))
-    for code in (CODE25, make4(45, "(1^18 2^9 1^0)")):
-        calls.clear()
-        qcc_burst_limit_hermitian(code)
-        assert 0 < len(calls) <= code.n // 2
-        assert all(m.rows == code.r and m.cols <= code.r for m in calls)
+    qcc_burst_limit_hermitian(CODE25)
+    assert 0 < len(calls) <= CODE25.n // 2
+    assert all(m.rows == CODE25.r and m.cols <= CODE25.r for m in calls)
+    code = make4(45, "(1^18 2^9 1^0)")
+    calls.clear()
+    rep = qcc_burst_limit_hermitian(code)
+    n, r = code.n, code.r
+    assert rep.flags == ("cap-limited",) and rep.K == 9
+    assert len(calls) == n // 2 - (r - r // 2) == 13
+    assert all(m.rows == r and m.cols == 2 * (r // 2) for m in calls)
 
 
 def _rotate(v, k):
