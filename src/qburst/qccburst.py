@@ -15,8 +15,9 @@ max(deg a, deg b) over the nonzero pairs of the shift (the shift-register
 view of Matt and Massey, "Determining the burst-correcting limit of
 cyclic codes", IEEE TIT 26(3), 1980).  `_shortest_pair` finds d(T) and
 its minimal pair from one reduction of the columns x^(T+i) mod g and the
-unit vectors, interleaved by degree, each with its digits reversed
-(coefficient k in digit r - 1 - k).  Reversed, a column is one modulo
+unit vectors, interleaved by degree and trimmed by the span bound
+(below), each with its digits reversed (coefficient k in digit
+r - 1 - k).  Reversed, a column is one modulo
 the monic reciprocal g* of g: x -> 1/x is a ring isomorphism F[x]/(g) ->
 F[x]/(g*), and times the unit x^(r-1) it sends x^k mod g to
 x^((r-1-k) mod n) mod g*, so every column of every shift is an entry of
@@ -52,6 +53,16 @@ T + limit > r, all of them at width exactly `limit`.  The bound is
 tight: at T + W = r + 1 the burst can be c g itself, which fits the two
 windows when the digits W .. T - 1 of g are zero.
 
+The same bound trims the matrix of each shift it reduces.  With
+lo = max(0, r - T), the powers x^T .. x^(T+lo-1) have degree below r
+and are their own residues: the low lo digits of a cancel exactly the
+digits T .. r - 1 of x^T a mod g, whatever the rest of a is, and every
+pair has degree >= lo, so the digits 0 .. lo may hold anything.  The
+reduction keeps the residues x^(T+lo+k) mod g of the rest of a on the
+digits lo + 1 .. min(T, r) - 1 alone, a (min(T, r) - 1 - lo) x
+(2(W - lo) - 1) matrix in place of r x 2W, and the pair is rebuilt from
+its combination (`_shortest_pair`).
+
 `window_pairs` keeps the window row reduction itself as an oracle: the
 tests check the shift kernel and the Reed-Solomon window kernel
 (`qrsburst`, by a shift basis at width hbar + 1, above r/2) against it,
@@ -66,7 +77,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from operator import xor
 
 from .cycliccode import (
     CyclicCode,
@@ -78,6 +88,7 @@ from .cycliccode import (
     syndrome,
     vector_poly,
 )
+from .galois import _times
 from .matgf import MatrixGF, row_reduce
 from .polyring import Polynomial, _x_powers
 
@@ -119,50 +130,76 @@ def window_pairs(code: CyclicCode, width: int, start: int):
 
 
 def _shift_matrix(code: CyclicCode, powers: list[int], shift: int, width: int) -> MatrixGF:
-    """The r x 2*width matrix of the shift T = `shift`: columns x^(T+i) mod g
-    and the unit vector u_i = x^i, interleaved by degree i, each with its
-    digits reversed, that is x^((r-1-T-i) mod n) and x^(r-1-i) modulo g*;
-    `powers` holds x^j mod g* for j < n (module docstring)."""
-    n, r = code.n, code.r
-    columns = []
-    for i in range(width):
-        columns += powers[(r - 1 - shift - i) % n], powers[(r - 1 - i) % n]
-    return MatrixGF(code.field, r, tuple(columns))
+    """The matrix of the shift T = `shift` at width W = `width`, trimmed by
+    the span bound (module docstring); it needs lo < W <= min(T, r), with
+    lo = max(0, r - T).  Its columns are c_k = x^(max(T, r) + k) mod g for
+    k < W - lo and the unit vectors u_k on digit lo + k for 1 <= k < W - lo,
+    in the order c_0, c_1, u_1, c_2, u_2, ..., and its rows are the digits
+    lo + 1 .. min(T, r) - 1, reversed: digit j in row r - 1 - lo - j.  So
+    c_k is x^(r - 1 - max(T, r) - k) mod g* (`powers` holds x^j mod g* for
+    j < n) moved down lo digits, and u_k sits in row r - 1 - 2 lo - k."""
+    n, r, m = code.n, code.r, code.field.m
+    lo = max(0, r - shift)
+    rows = max(0, r - 1 - 2 * lo)  # no digit at all when r = 0 (g = 1)
+    low = (1 << rows * m) - 1
+    first = r - 1 - shift - lo  # c_0
+    columns = [(powers[first % n] >> lo * m) & low]
+    for k in range(1, width - lo):
+        columns += (powers[(first - k) % n] >> lo * m) & low, 1 << (rows - k) * m
+    return MatrixGF(code.field, rows, tuple(columns))
 
 
 def _shortest_pair(code: CyclicCode, powers: list[int], shift: int, width: int):
-    """(d, e, f) for the shift T = `shift`, or None when d(T) >= `width`.
+    """(d, e, f) for the shift T = `shift`, or None when d(T) >= `width`;
+    `width` must be at most min(T, r).
 
     d(T) is the least max(deg a, deg b) over the nonzero pairs with
-    x^T a = b (mod g).  One row reduction of `_shift_matrix` finds it: its
-    first free column p gives d = p // 2, and the column's combination is
-    the minimal pair (a, b).  With e = x^(T-d-1) a and f = x^(n-d-1) b, e
-    lies in the window of width d + 1 at start T-d-1 and f in the last
-    d + 1 positions, and the two have equal syndromes.
+    x^T a = b (mod g).  With lo = max(0, r - T) and a = a_lo + x^lo a_hi,
+    deg a_lo < lo, it is the least d >= lo for which a nonzero a_hi of
+    degree <= d - lo makes the digits d + 1 .. min(T, r) - 1 of
+    Q = x^(T+lo) a_hi mod g vanish (module docstring).  One row reduction
+    of `_shift_matrix` finds it: its first free column p gives
+    d = lo + (p + 1) // 2, and the coefficients of the c_k in its
+    combination are a_hi.  Then b is Q's digits below T, and a is x^lo a_hi
+    plus a_lo, Q's digits T .. r - 1 moved down T, which cancels them.
+    With e = x^(T-d-1) a and f = x^(n-d-1) b, packed, e lies in the window
+    of width d + 1 at start T-d-1 and f in the last d + 1 positions, and
+    the two have equal syndromes.
 
-    The matrix stores digit r - 1 - k in place of digit k.  Permuting the
-    rows changes no dependency among the columns, nor its coefficients, so
-    the reduced form is that of the natural order.  But there the power
-    x^T mod g (generically with a nonzero constant term) and u_0 both take
-    their pivot on digit 0, and every column cancels against almost every
-    earlier pivot.  Reversed, the powers fill the low digits and u_i sits
-    on digit r - 1 - i, which no power pivot reaches until the window is
-    nearly deficient.
+    The matrix, and Q, are read reversed from `powers`.  Permuting the
+    rows changes no dependency among the columns, nor its coefficients,
+    but in the natural order every residue takes its pivot on the lowest
+    digits and cancels against almost every earlier pivot, while reversed
+    the unit vectors sit where no residue pivot reaches until the shift
+    is nearly deficient.
     """
-    n = code.n
+    n, r, field = code.n, code.r, code.field
+    m = field.m
+    lo = max(0, r - shift)
+    if width <= lo:
+        return None  # the span bound: T + W <= r
     reduced = row_reduce(_shift_matrix(code, powers, shift, width))
     if not reduced.free_cols:
         return None
     free_col = reduced.free_cols[0]
-    d = free_col // 2
-    pair = [0] * (2 * d + 2)
-    pair[free_col] = 1
-    for coeff, pivot_col in zip(reduced.combination[free_col], reduced.pivot_cols):
-        if pivot_col < free_col:  # the later pivots carry 0
-            pair[pivot_col] = coeff
-    e = (0,) * (shift - d - 1) + tuple(pair[0::2]) + (0,) * (n - shift)
-    f = (0,) * (n - d - 1) + tuple(pair[1::2])
-    return d, e, f
+    d = lo + (free_col + 1) // 2
+    # column 0 is c_0, column 2k - 1 is c_k and column 2k is u_k
+    coeffs = dict(zip(reduced.pivot_cols, reduced.combination[free_col]))
+    coeffs[free_col] = 1
+    first = r - 1 - shift - lo
+    a_hi = q = 0
+    for k in range(d - lo + 1):
+        c = coeffs.get(max(2 * k - 1, 0))
+        if c:
+            a_hi |= c << k * m
+            power = powers[(first - k) % n]
+            q ^= power if c == 1 else _times(field.doublings(power), c)
+    # q holds Q with digit j in digit r - 1 - j; the reciprocal of x^r + q
+    # is 1 + x Q
+    Q = Polynomial(field, q | 1 << r * m).reciprocal().bits >> m
+    a = (a_hi << lo * m) ^ (Q >> shift * m)
+    b = Q & (1 << shift * m) - 1
+    return d, a << (shift - d - 1) * m, b << (n - d - 1) * m
 
 
 def classical_burst_limit(code: CyclicCode) -> int:
@@ -288,7 +325,7 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None, floor: int = 
             continue
         d, e, f = found
         ell0 = min(ell0, d)
-        if s is not None and (Polynomial.make(code.field, map(xor, e, f)) % s).is_zero:
+        if s is not None and (Polynomial(code.field, e ^ f) % s).is_zero:
             continue  # a harmless pair
         L = limit = d
         flags = ()

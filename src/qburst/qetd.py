@@ -407,6 +407,12 @@ def burst_census(
     only reached with an explicit lmax above r, are counted by syndrome
     modulo s, with one walk per syndrome modulo g (see the module
     docstring).
+
+    `guard` bounds both the bursts counted and the bytes of the decoder's
+    position tables, which take about 128 n^2 (n positions by 256 packed
+    words of up to 4n bits) whatever lmax is: a census past either is
+    refused with a ValueError before any table is built, so at the
+    default 10^9 a code longer than 2,795 is refused even at lmax = 1.
     """
     K, sweeps = _components(code, construction)
     if len(sweeps) != 1:
@@ -420,6 +426,9 @@ def burst_census(
     total_expected = burst_count(n, 4, lmax)
     if total_expected > guard:
         raise ValueError(f"census of {total_expected} bursts exceeds the guard ({guard})")
+    table_bytes = 128 * n * n
+    if table_bytes > guard:
+        raise ValueError(f"census decoder tables of about {table_bytes} bytes exceed the guard ({guard})")
 
     decoder = _PackedDecoder(code, dual_of)
     short = min(lmax, decoder.r)

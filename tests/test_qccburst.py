@@ -17,7 +17,6 @@ from qburst import qccburst
 from qburst.qccburst import (
     NotDualContaining,
     _components,
-    _shift_matrix,
     _shortest_pair,
     brute_force_limit,
     classical_burst_limit,
@@ -42,6 +41,12 @@ def make2(n, text):
 def sweep_powers(code):
     """The sweep's one list: x^j modulo the monic reciprocal g* of g, j < n."""
     return list(islice(_x_powers(code.g.reciprocal().monic()), code.n))
+
+
+def unpacked(code, packed):
+    """The packed polynomial as a length-n vector, low degree first."""
+    coeffs = Polynomial(code.field, packed).coeffs
+    return coeffs + (0,) * (code.n - len(coeffs))
 
 
 QUAD5 = make4(5, "(1^2 2^1 1^0)")
@@ -307,7 +312,7 @@ def test_shift_kernel_matches_window_rank_at_every_width():
                     assert (rank < width) == (d < width), (code, shift, width)
                 if found is None:
                     continue
-                d, e, f = found
+                d, e, f = found[0], unpacked(code, found[1]), unpacked(code, found[2])
                 deficient += 1
                 assert syndrome(code, e) == syndrome(code, f)
                 assert e != f and burst_length(e) <= d + 1 and burst_length(f) <= d + 1
@@ -324,12 +329,6 @@ def test_shift_kernel_matches_window_rank_at_every_width():
     assert deficient > 100 and harmless_seen > 0
 
 
-def _reversed(field, r, packed):
-    """The packed r-digit vector with digit k moved to digit r - 1 - k."""
-    m, mask = field.m, field.q - 1
-    return sum(((packed >> (k * m)) & mask) << ((r - 1 - k) * m) for k in range(r))
-
-
 def _divisors(n, field):
     """Every monic divisor of x^n - 1.  With n = o * 2^k and o odd, x^n - 1
     is (x^o - 1)^(2^k), so its divisors are the products of the factors of
@@ -344,11 +343,16 @@ def _divisors(n, field):
 
 
 def test_sweep_matrices_reduce_as_in_natural_order():
-    # reversed, x^k mod g is x^((r-1-k) mod n) mod g*: every shift matrix of
-    # every divisor g of x^n - 1, n <= 31, at every width up to
-    # min(T, n - T, r), holds the natural-order columns x^(T+i) mod g and u_i,
-    # interleaved by degree i, with their digits reversed (GF(4) skips n = 30,
-    # whose 19,683 divisors would take 40 s).
+    # The trimmed kernel against the full natural-order matrix of its shift:
+    # r rows, the columns x^(T+i) mod g and u_i = x^i interleaved by degree
+    # i, whose first free column p gives d(T) = p // 2.  For every divisor
+    # g of x^n - 1, n <= 31, every shift T = 1 .. n - 1 and every width
+    # W <= min(T, n - T, r), `_shortest_pair` is deficient iff d(T) < W,
+    # with the same d, and its pair satisfies x^T a = b (mod g) with
+    # max(deg a, deg b) = d (GF(4) skips n = 30, whose 19,683 divisors
+    # would take 40 s).  The natural matrix is reduced once per shift, at
+    # the widest W: the leftmost-greedy reduction of its first 2W columns
+    # is that of the matrix at width W.
     # The span bound that the sweep skips by: a pair of width W <= T at
     # shift T is the nonzero burst x^T a - b of length T + W, which g divides
     # only when T + W > r, so every shift is full rank at every W <= T with
@@ -358,8 +362,9 @@ def test_sweep_matrices_reduce_as_in_natural_order():
     # sweep reduces (W <= r // 2) is: the bound is tight.  The classical
     # sweep, which skips by that bound, gives the least d(T) of all shifts
     # T = 1 .. n // 2, each reduced at width min(T, cap)
-    checked = tight = 0
+    checked = deficient = tight = 0
     for field in (GF2, GF4):
+        m = field.m
         for n in range(1, 32):
             if field is GF4 and n == 30:
                 continue
@@ -367,17 +372,28 @@ def test_sweep_matrices_reduce_as_in_natural_order():
                 code = code_from_generator(n, g)
                 r = code.r
                 powers = sweep_powers(code)
-                rev = [_reversed(field, r, p) for p in islice(_x_powers(g), n)]
-                units = [1 << (r - 1 - i) * field.m for i in range(r)]
+                natural = list(islice(_x_powers(g), n))
                 for shift in range(1, n):
                     widest = min(shift, n - shift, r)
-                    want = []
+                    columns = []
                     for i in range(widest):
-                        want += rev[(shift + i) % n], units[i]
+                        columns += natural[shift + i], 1 << i * m
+                    free = row_reduce(MatrixGF(field, r, tuple(columns))).free_cols
+                    want = free[0] // 2 if free else widest
                     for width in range(1, widest + 1):
-                        got = _shift_matrix(code, powers, shift, width)
-                        assert got.rows == r and list(got.columns) == want[:2 * width], (g, shift)
+                        found = _shortest_pair(code, powers, shift, width)
                         checked += 1
+                        if found is None:
+                            assert want >= width, (g, shift, width)
+                            continue
+                        d, e, f = found
+                        assert d == want, (g, shift, width)
+                        a, b = e >> (shift - d - 1) * m, f >> (n - d - 1) * m
+                        assert (a << (shift - d - 1) * m, b << (n - d - 1) * m) == (e, f)
+                        degree = max(Polynomial(field, a).degree, Polynomial(field, b).degree)
+                        assert a and degree == d, (g, shift, width)
+                        assert (Polynomial(field, a << shift * m ^ b) % g).is_zero, (g, shift)
+                        deficient += 1
                 for shift in range(1, r):
                     assert _shortest_pair(code, powers, shift, min(shift, r - shift)) is None, g
                 for width in range(1, (r + 1) // 2 + 1):
@@ -391,25 +407,7 @@ def test_sweep_matrices_reduce_as_in_natural_order():
                            for shift in range(1, n // 2 + 1))
                 assert classical_burst_limit(code) == min(
                     [r // 2] + [pair[0] for pair in minimal if pair is not None]), g
-    assert checked > 10**5 and tight > 0
-    # that row permutation leaves the reduced form of every shift matrix as it is
-    reduced = deficient = 0
-    for codes, construction in KERNEL_SAMPLE:
-        for code, _ in _components(codes, construction)[1]:
-            n, r, field = code.n, code.r, code.field
-            natural = list(islice(_x_powers(code.g), n))
-            powers = sweep_powers(code)
-            for shift in range(1, n):
-                width = min(shift, n - shift, r)
-                columns = []
-                for i, power in enumerate(natural[shift:shift + width]):
-                    columns += power, 1 << (i * field.m)
-                want = row_reduce(MatrixGF(field, r, tuple(columns)))
-                got = row_reduce(_shift_matrix(code, powers, shift, width))
-                assert got == want, (code, shift)
-                reduced += 1
-                deficient += bool(want.free_cols)
-    assert reduced > 150 and deficient > 100
+    assert checked > 10**5 and deficient > 10**4 and tight > 0
 
 
 def _width_sweep(code, dual_of):
@@ -480,21 +478,63 @@ def test_limits_match_width_sweep():
 def test_one_row_reduction_per_shift(monkeypatch):
     # at most one reduction per shift T = 1 .. n // 2 (shift n - T mirrors
     # T), and none where T + limit <= r (the span bound); the cap-limited
-    # [[45,9]] keeps limit = r // 2 = 9, so it reduces exactly the shifts
-    # T = r - r // 2 + 1 .. n // 2, each at width r // 2
+    # [[45,9]] (r = 18) keeps limit = r // 2 = 9, so it reduces exactly the
+    # shifts T = r - r // 2 + 1 .. n // 2, each at width W = 9, with the
+    # rows lo + 1 .. min(T, r) - 1 and 2 (W - lo) - 1 columns, lo = max(0, r - T)
     calls = []
     reduce_ = qccburst.row_reduce
     monkeypatch.setattr(qccburst, "row_reduce", lambda m: calls.append(m) or reduce_(m))
     qcc_burst_limit_hermitian(CODE25)
     assert 0 < len(calls) <= CODE25.n // 2
-    assert all(m.rows == CODE25.r and m.cols <= CODE25.r for m in calls)
+    assert all(m.rows < CODE25.r and m.cols < CODE25.r for m in calls)
     code = make4(45, "(1^18 2^9 1^0)")
     calls.clear()
     rep = qcc_burst_limit_hermitian(code)
     n, r = code.n, code.r
     assert rep.flags == ("cap-limited",) and rep.K == 9
     assert len(calls) == n // 2 - (r - r // 2) == 13
-    assert all(m.rows == r and m.cols == 2 * (r // 2) for m in calls)
+    assert [(m.rows, m.cols) for m in calls] == (
+        [(2 * T - 19, 2 * T - 19) for T in range(10, 18)] + [(17, 17)] * 5)
+
+
+def _interleaved(code, t):
+    """The code of g(x^t), of length t n: the depth-t interleaving of `code`."""
+    g, m = code.g, code.field.m
+    spread = sum(c << t * k * m for k, c in enumerate(g.coeffs))
+    return code_from_generator(t * code.n, Polynomial(code.field, spread))
+
+
+def test_interleaving_multiplies_the_limits():
+    # g(x^t) interleaves g's code to depth t, and its stabilizer generator
+    # is s(x^t): a burst of length <= t l meets each of the t words in a
+    # burst of length <= l, a failing pair of length l + 1 spreads to a
+    # span of t l + 1, and divisibility by s(x^t) splits by exponent class
+    # mod t.  So L and ell0 scale by t, unless the sweep of g stopped at the
+    # Reiger cap, whose L is then only a lower bound: t L' <= L <= t r' // 2
+    cases = capped = 0
+    for field, construction in ((GF2, "css"), (GF4, "hermitian")):
+        for n in range(3, 32, 2):
+            for code, _ in dual_containing_codes(n, field):
+                base = qcc_burst_limit(code, construction)
+                for t in (3, 5, 7):
+                    rep = qcc_burst_limit(_interleaved(code, t), construction)
+                    cases += 1
+                    if base.flags:
+                        capped += 1
+                        assert t * base.L <= rep.L <= t * code.r // 2, (code, t)
+                    else:
+                        assert (rep.L, rep.ell0) == (t * base.L, t * base.ell0), (code, t)
+    assert (cases, capped) == (432, 168)
+    # three lengths past 1000, where brute force cannot reach
+    for code, construction, t, L in (
+        (make2(31, "(1^10 1^8 1^7 1^6 1^4 1^3 1^2 1^1 1^0)"), "css", 33, 132),
+        (make4(21, "(1^9 1^3 1^0)"), "hermitian", 49, 147),
+        (make4(17, "(1^4 2^3 1^2 2^1 1^0)"), "hermitian", 61, 61),
+    ):
+        base = qcc_burst_limit(code, construction)
+        rep = qcc_burst_limit(_interleaved(code, t), construction)
+        assert base.flags == rep.flags == () and rep.n == t * code.n >= 1000
+        assert (rep.L, rep.ell0) == (t * base.L, t * base.ell0) == (L, L), code
 
 
 def _rotate(v, k):
@@ -520,6 +560,7 @@ def test_mirror_shifts_hold_the_swapped_pairs():
                     continue
                 (d, e, f), (d2, e2, f2) = found, mirror
                 assert d == d2, (code, shift)
+                e, f, e2, f2 = (unpacked(code, v) for v in (e, f, e2, f2))
                 swapped = _rotate(f, n - shift), _rotate(e, n - shift)
                 assert any(
                     swapped == tuple(tuple(field.mul(c, x) for x in v) for v in (e2, f2))

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from itertools import combinations
 from operator import add
@@ -558,6 +559,22 @@ def test_census_counts_at_r11_and_r12(n, field, construction, gen, expected):
 def test_census_guard():
     with pytest.raises(ValueError, match="guard"):
         burst_census(CODE13, "hermitian", guard=100)
+
+
+def test_census_guard_bounds_the_decoder_tables():
+    # the decoder's position tables take about 128 n^2 bytes whatever lmax
+    # is: the Steane generator interleaved to depth 585, g(x^585), is a
+    # CSS code of length 4095 with only 12,285 bursts of length 1, whose
+    # tables would take about 2 GB; the census refuses it at once
+    g = STEANE.g.bits
+    spread = sum((g >> k & 1) << 585 * k for k in range(STEANE.r + 1))
+    code = code_from_generator(4095, Polynomial(GF2, spread))
+    assert burst_count(code.n, 4, 1) == 12_285
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="guard") as refused:
+        burst_census(code, "css", lmax=1)
+    assert time.perf_counter() - start < 1
+    assert "\n" not in str(refused.value)
 
 
 def test_census_field_checks():
