@@ -152,11 +152,6 @@ class FieldSpec:
             out.append(packed)
         return out
 
-    @lru_cache(maxsize=None)  # a FieldSpec hashes by m: one entry per (m, a)
-    def scalar_doublings(self, a: int) -> list[int]:
-        """`doublings` of the element a on its own (x^j * a), kept per field."""
-        return self.doublings(a)
-
     def conj(self, a: int) -> int:
         """Conjugation x -> x^2 of GF(4) over GF(2) (identity on GF(2))."""
         if self.m == 1:

@@ -12,18 +12,15 @@ positions in the parent matrix.
 
 It builds a leftmost-greedy column basis over the packed columns.  Each
 column carries its expression over the pivot columns in the digits above
-its entries.  A basis vector is kept as it was reduced, and is scaled
-only when a later column first cancels against it: then its lowest
-nonzero entry is made 1 and it is kept as its doublings x^k * v (the
-step `Polynomial` multiplies by too), from the doublings of the inverse
-of that entry (`FieldSpec.scalar_doublings`).  So a basis vector that
-no column cancels against (most of them, in the shift sweep's matrices)
-is never scaled.  A column cancels its lowest nonzero entry c against
-the basis vector with that pivot by XORing the doublings at the set bits
-of c, so no row operation makes a field multiply.  A column whose lowest
-nonzero entry has no basis vector is outside the span of the earlier
-columns and becomes a pivot; a column that cancels to zero is free, and
-its expression is its combination.
+its entries.  A basis vector is never scaled: when a column first cancels
+against it, its doublings x^k * v (the step `Polynomial` multiplies by
+too) and the log of the inverse of its lowest nonzero entry, its lead,
+are taken once.  A column cancels its lowest nonzero entry c against the
+basis vector with that pivot by XORing the doublings at the set bits of
+c / lead (from the field's exp/log tables), so no row operation makes a
+field multiply.  A column whose lowest nonzero entry has no basis vector
+is outside the span of the earlier columns and becomes a pivot; a column
+that cancels to zero is free, and its expression is its combination.
 """
 
 from __future__ import annotations
@@ -120,47 +117,55 @@ class ReducedForm:
 def row_reduce(m: MatrixGF) -> ReducedForm:
     f = m.field
     bits, mask = f.m, f.q - 1
+    exp, log = f._exp, f._log
     height = m.rows * bits
     # each reduced column carries its expression over the pivot columns in
     # the digits from `height` up (pivot k in digit k of the expression)
     low = (1 << height) - 1
-    # by pivot digit: the basis vector whose lowest nonzero digit it is (0
-    # for none), and, once a column has cancelled against it, its doublings
-    # scaled so that digit is 1 (None until then)
+    # by pivot digit: the basis vector with that lowest nonzero digit (0 for
+    # none), and once a column cancels against it, its doublings and log(1 / lead)
     basis = [0] * m.rows
-    scaled: list[list[int] | None] = [None] * m.rows
+    cancels: list[tuple[list[int], int] | None] = [None] * m.rows
+    tops = 0  # the top bit of every digit, entries and expression, once needed
     pivot_cols: list[int] = []
     expressions: dict[int, int] = {}
     for j, vec in enumerate(m.columns):
         while vec & low:
             pos = ((vec & -vec).bit_length() - 1) // bits
-            doublings = scaled[pos]
-            if doublings is None:
+            entry = cancels[pos]
+            if entry is None:
                 pivot = basis[pos]
                 if not pivot:
                     break
-                doublings = f.doublings(pivot)
-                inv = f.inv((pivot >> (pos * bits)) & mask)
-                if inv != 1:
-                    # x^k (inv v) = (x^k inv) v, and doublings(inv) lists x^k inv
-                    doublings = [_times(doublings, c) for c in f.scalar_doublings(inv)]
-                scaled[pos] = doublings
-            # cancel digit pos: add c times the basis vector, one
-            # doubling per set bit of c; only higher digits change
-            vec ^= _times(doublings, (vec >> (pos * bits)) & mask)
+                doublings = [pivot]
+                if bits > 1 and not tops:
+                    tops = ((1 << (m.rows + m.cols) * bits) - 1) // mask << (bits - 1)
+                    reduction = f.modulus ^ f.q
+                for _ in range(bits - 1):  # FieldSpec.doublings under that one mask
+                    top = pivot & tops
+                    pivot = ((pivot ^ top) << 1) ^ ((top >> (bits - 1)) * reduction)
+                    doublings.append(pivot)
+                entry = cancels[pos] = (doublings, log[f.inv((basis[pos] >> (pos * bits)) & mask)])
+            # add c / lead times the basis vector: digit pos cancels, only higher ones change
+            doublings, scale = entry
+            c = exp[log[(vec >> (pos * bits)) & mask] + scale]
+            if c == 1:
+                vec ^= doublings[0]
+                continue
+            for x_j in doublings:
+                if c & 1:
+                    vec ^= x_j
+                c >>= 1
         if vec & low:
             # outside the span of the earlier columns: a new pivot
             basis[pos] = vec ^ (1 << (height + len(pivot_cols) * bits))
             pivot_cols.append(j)
         else:
             expressions[j] = vec >> height
-    pivots = tuple(pivot_cols)
-    rank_ = len(pivots)
-    combination = {
-        j: tuple((e >> (k * bits)) & mask for k in range(rank_))
-        for j, e in expressions.items()
-    }
-    return ReducedForm(rank_, pivots, tuple(expressions), combination)
+    rank_ = len(pivot_cols)
+    combination = {j: tuple((e >> (k * bits)) & mask for k in range(rank_))
+                   for j, e in expressions.items()}
+    return ReducedForm(rank_, tuple(pivot_cols), tuple(expressions), combination)
 
 
 def rank(m: MatrixGF) -> int:

@@ -141,6 +141,43 @@ def test_row_reduce_matches_span_enumeration():
     assert checked_pivots > 1000 and checked_free > 500
 
 
+def _rank_by_rows(field, columns):
+    """The rank of the columns, by entry-wise elimination on the rows."""
+    rows = [list(r) for r in zip(*columns)]
+    rank_ = 0
+    for j in range(len(columns)):
+        pivot = next((i for i in range(rank_, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
+        inv = field.inv(rows[rank_][j])
+        for i, row in enumerate(rows):
+            if i != rank_ and row[j]:
+                c = field.mul(row[j], inv)
+                rows[i] = [a ^ field.mul(c, b) for a, b in zip(row, rows[rank_])]
+        rank_ += 1
+    return rank_
+
+
+@pytest.mark.parametrize("m", [8, 12, 16])
+def test_row_reduce_over_large_fields(m):
+    # the elimination reads the exp/log tables and a top-bit mask of m bits
+    # per digit: a column is a pivot iff it raises the rank of the columns
+    # before it (an entry-wise oracle), and each free column is its combination
+    field = field_make(m)
+    rng = random.Random(m)
+    deficient = 0
+    for _ in range(40):
+        mat = _oracle_matrix(rng, field, rng.randrange(1, 13), rng.randrange(1, 14))
+        red = row_reduce(mat)
+        _assert_combinations(mat, red)
+        columns = [_column(mat, j) for j in range(mat.cols)]
+        ranks = [_rank_by_rows(field, columns[:j]) for j in range(mat.cols + 1)]
+        assert red.pivot_cols == tuple(j for j in range(mat.cols) if ranks[j + 1] > ranks[j])
+        deficient += bool(red.free_cols)
+    assert deficient > 30
+
+
 def _lead(m, j):
     """The lowest nonzero entry of column j."""
     return next(c for c in _column(m, j) if c)
@@ -168,8 +205,9 @@ def test_row_order_leaves_the_reduced_form():
 
 
 def test_row_reduce_makes_no_field_multiply(monkeypatch):
-    # a pivot is scaled through the doublings of the inverse of its lead,
-    # never entry by entry, so FieldSpec.mul is never called
+    # no pivot is ever scaled: a cancellation maps its digit c to c / lead
+    # through the exp/log tables and XORs the pivot's doublings at the bits
+    # of that, so FieldSpec.mul is never called
     rng = random.Random(31)
     cases = []
     for field in (GF4, field_make(3)):
@@ -191,7 +229,7 @@ def test_row_reduce_makes_no_field_multiply(monkeypatch):
     for m, red in zip(cases, reduced):
         _assert_combinations(m, red)
     assert reduced[0].combination == {1: (3,)}  # c = 3 over GF(4)
-    # the pivots scaled for a cancellation, among them many with lead not 1
+    # one inverse per pivot that a column cancels against, many of a lead not 1
     assert sum(a != 1 for a in inverted) > 100
 
 

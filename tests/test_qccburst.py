@@ -1,5 +1,5 @@
 from itertools import islice, product
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -535,6 +535,31 @@ def test_interleaving_multiplies_the_limits():
         rep = qcc_burst_limit(_interleaved(code, t), construction)
         assert base.flags == rep.flags == () and rep.n == t * code.n >= 1000
         assert (rep.L, rep.ell0) == (t * base.L, t * base.ell0) == (L, L), code
+
+
+def _one_factor_per_pair(n, field):
+    """The code whose g is the lower-index factor of each pair {p, p'} of
+    distinct partners among the factors of x^n - 1 (p' = conj of the monic
+    reciprocal): g | s, so it is dual-containing."""
+    factors = factor_xn_minus_1(n, field)
+    index = {p: i for i, p in enumerate(factors)}
+    partner = [index[p.reciprocal().monic().conjugate()] for p in factors]
+    g = prod((p for i, p in enumerate(factors) if i < partner[i]), start=Polynomial.one(field))
+    return code_from_generator(n, g)
+
+
+@pytest.mark.parametrize("n, field, construction, K, L", [
+    (1023, GF2, "css", 33, 243),  # r = 495
+    (341, GF4, "hermitian", 11, 81),  # r = 165
+], ids=["gf2-1023", "gf4-341"])
+def test_exact_limits_of_long_codes(n, field, construction, K, L):
+    # no interleaving (g is no polynomial in x^t, t > 1), so no law scales
+    # a short code's limits up to these; the GF(2) code's shift matrices
+    # run to 494 dense rows, which no other test builds
+    code = _one_factor_per_pair(n, field)
+    assert gcd(*(i for i, c in enumerate(code.g.coeffs) if c)) == 1
+    rep = qcc_burst_limit(code, construction)
+    assert (rep.n, rep.K, rep.L, rep.ell0, rep.flags) == (n, K, L, L, ())
 
 
 def _rotate(v, k):
