@@ -94,7 +94,9 @@ class CyclicCode:
 
     @cached_property
     def stabilizer(self) -> Polynomial:
-        """s = conj(dual_g); `dual_containing_codes` stores the s it grows."""
+        """s = conj(dual_g): the generator of the Hermitian dual of the code
+        over GF(4), of its Euclidean dual over GF(2) (conj is the identity);
+        `dual_containing_codes` stores the s it grows."""
         return self.dual_g.conjugate()
 
     def __repr__(self) -> str:
@@ -137,12 +139,6 @@ def contains(code: CyclicCode, v) -> bool:
 def in_euclidean_dual(code: CyclicCode, v) -> bool:
     """True iff v lies in the Euclidean dual of the code."""
     return (vector_poly(code, v) % code.dual_g).is_zero
-
-
-def stabilizer_generator(dual_of: CyclicCode) -> Polynomial:
-    """s = conj(dual_g): the generator of the Hermitian dual of `dual_of`
-    over GF(4), of its Euclidean dual over GF(2) (conj is the identity)."""
-    return dual_of.stabilizer
 
 
 def _twist(p: Polynomial) -> Polynomial:
@@ -208,7 +204,7 @@ def hermitian_dual_containing(code: CyclicCode) -> bool:
     code's generator divides the stabilizer generator of the code."""
     if code.field.m != 2:
         raise ValueError("Hermitian construction requires GF(4)")
-    return (stabilizer_generator(code) % code.g).is_zero
+    return (code.stabilizer % code.g).is_zero
 
 
 def css_dual_containing(c1: CyclicCode, c2: CyclicCode) -> bool:
@@ -219,7 +215,7 @@ def css_dual_containing(c1: CyclicCode, c2: CyclicCode) -> bool:
         raise ValueError("CSS construction requires a matching GF(2) pair")
     if c1.n != c2.n:
         raise ValueError("CSS construction requires equal lengths")
-    return (stabilizer_generator(c2) % c1.g).is_zero
+    return (c2.stabilizer % c1.g).is_zero
 
 
 def burst_length(v) -> int:

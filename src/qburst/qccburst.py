@@ -3,8 +3,8 @@
 `_components` is the one place a construction is decided: it checks the
 generator count, dual containment (Hermitian or CSS) and r >= 1, and
 returns K with one sweep (code, dual_of) per distinct classical
-component.  Below it, with s = `stabilizer_generator(dual_of)`, one rule
-holds: admissible iff g | s, and e, f harmlessly confused iff s | e - f.
+component.  Below it, with s = `dual_of.stabilizer`, one rule holds:
+admissible iff g | s, and e, f harmlessly confused iff s | e - f.
 
 The limits of a component come from one row reduction per shift.  A
 window pair of width w at start s is e = x^s a and f = x^(n-w) b with
@@ -84,7 +84,6 @@ from .cycliccode import (
     burst_count,
     css_dual_containing,
     hermitian_dual_containing,
-    stabilizer_generator,
     syndrome,
     vector_poly,
 )
@@ -216,7 +215,7 @@ def degeneracy_check(code: CyclicCode, e, f, *, dual_of: CyclicCode | None = Non
     if syndrome(code, e) != syndrome(code, f):
         raise ValueError("degeneracy is only defined for equal-syndrome pairs")
     diff = vector_poly(code, [a ^ b for a, b in zip(e, f)])
-    return (diff % stabilizer_generator(dual_of if dual_of is not None else code)).is_zero
+    return (diff % (dual_of if dual_of is not None else code).stabilizer).is_zero
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,7 @@ class QccReport:
     L: int
     ell0: int
     construction: str  # "hermitian" | "css"
-    generators: tuple[tuple[int, ...], ...]  # coefficient tuples, low degree first
+    generators: tuple[Polynomial, ...]  # the codes' own g
     flags: tuple[str, ...] = ()
 
     @property
@@ -241,9 +240,9 @@ class QccReport:
         return tuple(map(_table_notation, self.generators))
 
 
-def _table_notation(coeffs: tuple[int, ...]) -> str:
+def _table_notation(p: Polynomial) -> str:
     """Table notation: "(c^e ...)", nonzero c by decreasing exponent e."""
-    terms = [f"{coeffs[e]}^{e}" for e in range(len(coeffs) - 1, -1, -1) if coeffs[e]]
+    terms = [f"{c}^{e}" for e, c in enumerate(p.coeffs) if c][::-1]
     if not terms:
         raise ValueError("cannot emit the zero polynomial")
     return "(" + " ".join(terms) + ")"
@@ -314,7 +313,7 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None, floor: int = 
     if L < floor:
         return L, ell0, flags
     powers = list(islice(_x_powers(code.g.reciprocal().monic()), n))
-    s = None if dual_of is None else stabilizer_generator(dual_of)
+    s = None if dual_of is None else dual_of.stabilizer
     for shift in range(1, n // 2 + 1):
         if not limit:
             break
@@ -352,7 +351,7 @@ def _sweep_report(K: int, sweeps, construction: str, floor: int = 0) -> QccRepor
     L = min(L for L, _, _ in results)
     ell0 = min(ell0 for _, ell0, _ in results)
     flags = tuple(sorted(set.intersection(*(set(flags) for _, _, flags in results))))
-    gens = tuple(code.g.coeffs for code, _ in sweeps)
+    gens = tuple(code.g for code, _ in sweeps)
     report = QccReport(sweeps[0][0].n, K, L, ell0, construction, gens, flags)
     if report.delta < 0:
         raise AssertionError("computed limit violates the quantum Reiger bound")
@@ -395,7 +394,7 @@ def brute_force_limit(
     best_nondeg = cap + 1
 
     for code, dual_of in sweeps:
-        s = stabilizer_generator(dual_of)
+        s = dual_of.stabilizer
         q = code.field.q
         if burst_count(n, q, cap) >= guard:
             raise ValueError("enumeration guard exceeded; reduce cap or n")

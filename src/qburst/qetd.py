@@ -7,8 +7,8 @@ error burst sits flush against the top register stage; the shift whose
 trapped burst is shortest identifies a minimum-burst coset
 representative, which is then rotated back into place.  Degenerate
 decodes (representative differing from the channel error by a
-stabilizer element, i.e. a multiple of `stabilizer_generator(dual_of)`)
-count as successes for a quantum code.
+stabilizer element, i.e. a multiple of `dual_of.stabilizer`) count as
+successes for a quantum code.
 
 The census decodes every Pauli burst up to a length cutoff and tallies
 exact / degenerate / failed decodes.  It traps each pattern p once, not
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import add, itemgetter
 
-from .cycliccode import CyclicCode, burst_count, stabilizer_generator
+from .cycliccode import CyclicCode, burst_count
 from .galois import GF4, _xor_sums
 from .polyring import Polynomial, _x_powers
 from .qccburst import _components
@@ -155,7 +155,7 @@ class _PackedDecoder:
 
     def __init__(self, code: CyclicCode, dual_of: CyclicCode):
         n = self.n = code.n
-        s = Polynomial.make(GF4, stabilizer_generator(dual_of).coeffs)
+        s = Polynomial.make(GF4, dual_of.stabilizer.coeffs)
         g = Polynomial.make(GF4, code.g.coeffs)
         self.r = g.degree
         top = self.top = 2 * (n + s.degree)

@@ -71,9 +71,9 @@ def parse_generator(text: str, field: FieldSpec) -> Polynomial:
     return Polynomial(field, sum(c << e * field.m for c, e in _parse_terms(text, field)))
 
 
-def emit_generator(p: Polynomial | tuple[int, ...]) -> str:
+def emit_generator(p: Polynomial) -> str:
     """Inverse of parse_generator (round-trips exactly)."""
-    return _table_notation(p.coeffs if isinstance(p, Polynomial) else tuple(p))
+    return _table_notation(p)
 
 
 def _codes(n: int, gens, construction: str):
@@ -146,7 +146,7 @@ def search(job: SearchJob) -> list[QccReport]:
                 first = orbits[key]
                 if first is not None:
                     reports.append(QccReport(n, K, first.L, first.ell0, construction,
-                                             (code.g.coeffs,), first.flags))
+                                             (code.g,), first.flags))
                 continue
             floor = 0 if job.delta_max is None else -(-(n - K - job.delta_max) // 4)
             report = _sweep_report(K, sweeps, construction, floor)

@@ -14,7 +14,6 @@ from qburst.cycliccode import (
     code_from_generator,
     contains,
     dual_containing_codes,
-    stabilizer_generator,
     syndrome,
     vector_poly,
 )
@@ -222,9 +221,9 @@ def _divisor_codes(n, field):
 
 
 def test_stabilizer_generator_matches_span_oracle():
-    # s = stabilizer_generator(dual_of) divides a vector exactly when the
-    # span oracle admits it, for every divisor code of odd n <= 15 over
-    # GF(4) and every ordered pair of them over GF(2): on Pauli vectors
+    # s = dual_of.stabilizer divides a vector exactly when the span oracle
+    # admits it, for every divisor code of odd n <= 15 over GF(4) and
+    # every ordered pair of them over GF(2): on Pauli vectors
     # against s read over GF(4), and on vectors over the code's own field,
     # which degeneracy_check judges the same way as differences of pairs
     rng = random.Random(43)
@@ -234,7 +233,7 @@ def test_stabilizer_generator_matches_span_oracle():
         cases = [(c, c) for c in _divisor_codes(n, GF4)]
         cases += [(c1, c2) for c1 in binary for c2 in binary]
         for code, dual_of in cases:
-            s = stabilizer_generator(dual_of)
+            s = dual_of.stabilizer
             s4 = Polynomial.make(GF4, s.coeffs)
             rows = _stabilizer_rows(dual_of)
             member = _span_oracle(rows)
@@ -320,7 +319,7 @@ def test_stabilizer_syndrome_is_dual_membership():
         for n in range(3, 16, 2):
             for g in divisor_generators(n, field, (1, n - 1)):
                 code = code_from_generator(n, g)
-                s = Polynomial.make(GF4, stabilizer_generator(code).coeffs)
+                s = Polynomial.make(GF4, code.stabilizer.coeffs)
                 tables = _position_syndrome_tables(n, s)
                 rows = _stabilizer_rows(code)
                 member = _span_oracle(rows)
@@ -504,7 +503,7 @@ def test_pattern_keys_match_per_pattern_keys():
                 _, ((code, dual_of),) = _components(built, construction)
                 decoder = _PackedDecoder(code, dual_of)
                 table = decoder.table
-                s_degree = stabilizer_generator(dual_of).degree
+                s_degree = dual_of.stabilizer.degree
                 for length in range(1, min(n, s_degree + 3) + 1):
                     # every pattern with first digit 1 and last digit nonzero
                     rows = [table[0][1:2], *table[1 : length - 1], table[length - 1][1:]]

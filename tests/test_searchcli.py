@@ -115,14 +115,16 @@ def test_search_builds_only_admissible_codes(monkeypatch):
 ], ids=["gf4", "gf2", "gf4-twist"])
 def test_search_orbit_members_match_direct_limits(field, lengths, count):
     # oracle for the shared sweep: every report equals the limits of its
-    # own code, computed directly; n = 39 and 45 have orbits that only the
-    # twist x -> wx joins
+    # own code, built from the report's generator and computed directly,
+    # and its notation parses back to that generator; n = 39 and 45 have
+    # orbits that only the twist x -> wx joins
     f = GF4 if field == "gf4" else GF2
     reports = [r for n in lengths for r in search(SearchJob(n, n, field))]
     assert len(reports) == count
     for r in reports:
         (g,) = r.generators
-        direct = qcc_burst_limit(code_from_generator(r.n, Polynomial.make(f, g)), r.construction)
+        assert parse_generator(r.notation[0], f) == g
+        direct = qcc_burst_limit(code_from_generator(r.n, g), r.construction)
         assert (r.K, r.L, r.ell0, r.flags) == (direct.K, direct.L, direct.ell0, direct.flags), r
 
 
