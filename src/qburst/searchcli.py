@@ -1,9 +1,16 @@
-"""Code search driver, generator-polynomial notation, serialization, CLI.
+"""Generator notation, code search, one computation per question, CLI.
+
+The module reads top down: the notation codec; the search and its
+serialization; one computation per question, `_limits` (L and ell0 of a
+quantum cyclic code), `_rs` (the true limit of a quantum RS code's binary
+image) and `_census` (the decoder census), whose values the CLI commands
+print and `verify-tables` renders next to each printed fixture row; the
+table fixtures; the CLI.
 
 Generator polynomials are written in the compact table notation
 "(1^6 2^3 1^0)": each term is coefficient^exponent with coefficients
 1..3 encoding 1, w, w^2 of GF(4) (only 1 is legal over GF(2)), exponents
-strictly decreasing and ending at 0.
+strictly decreasing, ending at 0, and at most MAX_LENGTH.
 
 The search takes each length's dual-containing codes, with their orbit
 keys, from `cycliccode.dual_containing_codes`, checks each code's
@@ -44,17 +51,22 @@ CONSTRUCTIONS = {"gf4": "hermitian", "gf2": "css"}
 # Notation codec
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"([123])\^(\d+)")
+_TERM_RE = re.compile(r"([123])\^0*(\d+)")
 _SHAPE_RE = re.compile(r"^\(\s*(?:[123]\^\d+\s*)+\)$")
 
 
-def _parse_terms(text: str, field: FieldSpec) -> list[tuple[int, int]]:
-    """The (coefficient, exponent) terms of table notation, highest
-    exponent first, checked against the grammar and the field."""
+def parse_generator(text: str, field: FieldSpec) -> Polynomial:
+    """Parse table notation into a polynomial over the given field.  An
+    exponent above MAX_LENGTH (no code is longer) is rejected before any
+    coefficient is laid out."""
     cleaned = text.strip().lower()
     if not _SHAPE_RE.match(cleaned):
         raise ValueError(f"malformed generator notation: {text!r}")
-    terms = [(int(c), int(e)) for c, e in _TERM_RE.findall(cleaned)]
+    # the term pattern drops leading zeros, so a longer digit string is above the bound
+    found = _TERM_RE.findall(cleaned)
+    if any(len(e) > len(str(MAX_LENGTH)) or int(e) > MAX_LENGTH for _, e in found):
+        raise ValueError(f"generator degree above {MAX_LENGTH}, the longest code length: {text!r}")
+    terms = [(int(c), int(e)) for c, e in found]
     exponents = [e for _, e in terms]
     if exponents != sorted(exponents, reverse=True) or len(set(exponents)) != len(exponents):
         raise ValueError(f"exponents must be strictly decreasing: {text!r}")
@@ -63,12 +75,7 @@ def _parse_terms(text: str, field: FieldSpec) -> list[tuple[int, int]]:
     for c, _ in terms:
         if c >= field.q:
             raise ValueError(f"coefficient {c} invalid over GF({field.q})")
-    return terms
-
-
-def parse_generator(text: str, field: FieldSpec) -> Polynomial:
-    """Parse table notation into a polynomial over the given field."""
-    return Polynomial(field, sum(c << e * field.m for c, e in _parse_terms(text, field)))
+    return Polynomial(field, sum(c << e * field.m for c, e in terms))
 
 
 def emit_generator(p: Polynomial) -> str:
@@ -78,17 +85,16 @@ def emit_generator(p: Polynomial) -> str:
 
 def _codes(n: int, gens, construction: str):
     """The cyclic codes of length n with the given generator texts, over
-    the field whose construction is `construction`.  A generator of degree
-    above n is rejected before its coefficients are laid out."""
+    the field whose construction is `construction`."""
     field = next((FIELDS[f] for f, c in CONSTRUCTIONS.items() if c == construction), None)
     if field is None:
         raise ValueError(f"unknown construction {construction!r}")
     codes = []
     for text in gens:
-        degree = _parse_terms(text, field)[0][1]
-        if degree > n:
-            raise ValueError(f"generator degree {degree} exceeds n={n}: {text!r}")
-        codes.append(code_from_generator(n, parse_generator(text, field)))
+        g = parse_generator(text, field)
+        if g.degree > n:
+            raise ValueError(f"generator degree {g.degree} exceeds n={n}: {text!r}")
+        codes.append(code_from_generator(n, g))
     return tuple(codes)
 
 
@@ -188,6 +194,29 @@ def report_emit(reports, fmt: str = "json") -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# One computation per question, shared by the CLI and verify-tables
+# ---------------------------------------------------------------------------
+
+
+def _limits(n: int, gens, construction: str) -> dict:
+    """L, ell0 and delta of the code with these generator texts."""
+    return report_as_dict(qcc_burst_limit(_codes(n, gens, construction), construction))
+
+
+def _rs(m: int, K: int) -> dict:
+    """The true image limit of the quantum RS code [[2^m - 1, K]]."""
+    rep = rs_image_burst_limit(rs_make(m, K))
+    return {"m": rep.m, "n": rep.n, "K": rep.K, "L": rep.L, "lower_bound": rep.lower,
+            "qrb_image": rep.qrb_image, "flags": list(rep.flags)}
+
+
+def _census(n: int, gen: str, construction: str, lmax: int | None) -> QetdStats:
+    """The decoder census of the code with this generator text."""
+    (code,) = _codes(n, [gen], construction)
+    return burst_census(code, construction, lmax=lmax)
+
+
+# ---------------------------------------------------------------------------
 # Table fixtures and verification
 # ---------------------------------------------------------------------------
 
@@ -216,37 +245,27 @@ def _parse_nk(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _limit_values(row: dict) -> dict:
-    codes = _codes(row["n"], row["gens"].split(";"), row["construction"])
-    rep = qcc_burst_limit(codes, row["construction"])
-    return {"L": rep.L, "delta": rep.delta, "ell0": rep.ell0, "K": rep.K}
-
-
-def _rs_values(row: dict) -> dict:
-    rep = rs_image_burst_limit(rs_make(int(row["m"]), int(row["K"])))
-    return {"L": rep.L, "lower": rep.lower, "qrb": rep.qrb_image}
-
-
-def _census_values(row: dict) -> dict:
-    (code,) = _codes(row["n"], [row["gen"]], row["construction"])
-    stats = burst_census(code, row["construction"])
-    return {"ND": stats.decoded, "N0": stats.exact, "N": stats.total}
+def _row_limits(row: dict) -> dict:
+    return _limits(row["n"], row["gens"].split(";"), row["construction"])
 
 
 # One entry per fixture table: file, column names (the last column holds
 # the flags), row name, the template that renders both the printed and the
-# computed values, and the function computing the values for one row.
-# Tables with an `nk` column ([[n,K]]) also give the row `n` and `K`; a
-# cell that does not parse is that row's error, and its K prints as `?`.
+# computed values, and the computation of the values for one row; the
+# columns are named after the keys that computation returns.  Tables with
+# an `nk` column ([[n,K]]) also give the row `n` and `K`; a cell that does
+# not parse is that row's error, and its K prints as `?`.
 _TABLES = (
     ("table1.tsv", "construction nk L delta gens flags", "table1 {nk}",
-     "L={L},delta={delta},K={K}", _limit_values),
+     "L={L},delta={delta},K={K}", _row_limits),
     ("table2.tsv", "construction nk L ell0 delta gens flags", "table2 {nk}",
-     "L={L},ell0={ell0},K={K}", _limit_values),
-    ("table3.tsv", "m n K L lower qrb flags", "table3 [[{n},{K}]]_2^{m}",
-     "L={L},lower={lower},qrb={qrb}", _rs_values),
-    ("table4.tsv", "construction nk ND N0 N gen flags", "table4 {nk}",
-     "ND={ND},N0={N0},N={N}", _census_values),
+     "L={L},ell0={ell0},K={K}", _row_limits),
+    ("table3.tsv", "m n K L lower_bound qrb_image flags", "table3 [[{n},{K}]]_2^{m}",
+     "L={L},lower={lower_bound},qrb={qrb_image}",
+     lambda row: _rs(int(row["m"]), int(row["K"]))),
+    ("table4.tsv", "construction nk decoded exact total gen flags", "table4 {nk}",
+     "ND={decoded},N0={exact},N={total}",
+     lambda row: vars(_census(row["n"], row["gen"], row["construction"], None))),
 )
 
 
@@ -302,52 +321,20 @@ def verify_tables(directory: Path | None = None, include_slow: bool = False):
 
 
 def _cmd_burst_limit(args) -> int:
-    construction = CONSTRUCTIONS[args.field]
     gens = [args.gen] if args.gen2 is None else [args.gen, args.gen2]
-    report = qcc_burst_limit(_codes(args.n, gens, construction), construction)
-    print(json.dumps(report_as_dict(report), sort_keys=True))
+    print(json.dumps(_limits(args.n, gens, CONSTRUCTIONS[args.field]), sort_keys=True))
     return 0
 
 
 def _cmd_rs_limit(args) -> int:
-    rep = rs_image_burst_limit(rs_make(args.m, args.kq))
-    print(
-        json.dumps(
-            {
-                "m": rep.m,
-                "n": rep.n,
-                "K": rep.K,
-                "L": rep.L,
-                "lower_bound": rep.lower,
-                "qrb_image": rep.qrb_image,
-                "flags": list(rep.flags),
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(_rs(args.m, args.kq), sort_keys=True))
     return 0
 
 
-def _stats_row(stats: QetdStats, gen_text: str) -> str:
-    return "\t".join(
-        [
-            f"[[{stats.n},{stats.K}]]",
-            str(stats.decoded),
-            str(stats.exact),
-            str(stats.total),
-            f"{stats.decoded_ratio:.4f}",
-            f"{stats.exact_ratio:.4f}",
-            f"{stats.degeneracy_gain:.4f}",
-            gen_text,
-        ]
-    )
-
-
 def _cmd_qetd_sim(args) -> int:
-    construction = CONSTRUCTIONS[args.field]
-    (code,) = _codes(args.n, [args.gen], construction)
-    stats = burst_census(code, construction, lmax=args.lmax)
-    print(_stats_row(stats, args.gen))
+    s = _census(args.n, args.gen, CONSTRUCTIONS[args.field], args.lmax)
+    print(f"[[{s.n},{s.K}]]\t{s.decoded}\t{s.exact}\t{s.total}\t{s.decoded_ratio:.4f}\t"
+          f"{s.exact_ratio:.4f}\t{s.degeneracy_gain:.4f}\t{args.gen}")
     return 0
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,15 @@ def test_parse_errors():
         parse_generator("(1^3 1^3 1^0)", GF2)
     with pytest.raises(ValueError, match="final exponent"):
         parse_generator("(1^3 1^1)", GF2)
+    # exponents run up to MAX_LENGTH; a larger one is one error line naming
+    # that bound, raised before its digits are laid out
+    assert parse_generator("(1^65535 1^0)", GF2).degree == 65535
+    for text in ("(1^65536 1^0)", "(1^100000000000000000000 1^0)"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="degree above 65535") as exc:
+            parse_generator(text, GF2)
+        assert time.perf_counter() - start < 0.1
+        assert "\n" not in str(exc.value)
 
 
 def test_parse_whitespace_insensitive():
@@ -377,6 +387,13 @@ def test_bundled_fixture_table3(tmp_path):
     assert unexpected == 0
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "f947e4ce162ce68a3e3ee577b75653ec5b0422283e4a8e09db5fd6cdb807d8cd"
+    # and the whole default `verify-tables` output, every bundled table, as
+    # the CLI prints it: tables 3 and 4 share the `rs-limit` and `qetd-sim`
+    # computations, so this pins their rendering too
+    lines, unexpected = verify_tables()
+    assert unexpected == 0
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == "eb96bb50e0f9675ac63941d981f62084d8d5145470d1d5e45670d279c3a7cc27"
 
 
 @pytest.mark.parametrize(
