@@ -75,7 +75,6 @@ independent oracle for small lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 
 from .cycliccode import (
@@ -234,19 +233,6 @@ class QccReport:
     def delta(self) -> int:
         return reiger_delta(self.n, self.K, self.L)
 
-    @cached_property
-    def notation(self) -> tuple[str, ...]:
-        """The generators in table notation, written once (`searchcli`)."""
-        return tuple(map(_table_notation, self.generators))
-
-
-def _table_notation(p: Polynomial) -> str:
-    """Table notation: "(c^e ...)", nonzero c by decreasing exponent e."""
-    terms = [f"{c}^{e}" for e, c in enumerate(p.coeffs) if c][::-1]
-    if not terms:
-        raise ValueError("cannot emit the zero polynomial")
-    return "(" + " ".join(terms) + ")"
-
 
 def reiger_delta(n: int, K: int, L: int) -> int:
     """Distance n - K - 4L to the quantum Reiger bound."""
@@ -287,13 +273,9 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None, floor: int = 
     Returns (L, ell0, flags): L is the least d(T) over the shifts whose
     minimal pair is nondegenerate (or the Reiger cap, flagged), ell0 the
     least d(T) over all shifts.  With `dual_of` None every pair counts as
-    nondegenerate, and L is the classical limit.
-
-    L only falls as the sweep goes on, so once it is below `floor` the
-    sweep returns at once, before any shift when the cap itself is below
-    it.  Such a result is partial: its L is below `floor` but may be above
-    the exact one, and its ell0 and flags are not final.  With the default
-    floor 0 the result is exact.
+    nondegenerate, and L is the classical limit.  L only falls as the
+    sweep goes on, so it returns None as soon as L is below `floor`
+    (before any shift when the cap is): the result is exact or None.
 
     Each shift is reduced at most once, at width `limit`, the best L so
     far (1 while the cap is 0, so that single-error collisions are still
@@ -311,7 +293,7 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None, floor: int = 
     limit = max(L, 1)
     flags = ("cap-limited",)
     if L < floor:
-        return L, ell0, flags
+        return None
     powers = list(islice(_x_powers(code.g.reciprocal().monic()), n))
     s = None if dual_of is None else dual_of.stabilizer
     for shift in range(1, n // 2 + 1):
@@ -329,7 +311,7 @@ def _component_sweep(code: CyclicCode, dual_of: CyclicCode | None, floor: int = 
         L = limit = d
         flags = ()
         if L < floor:
-            break
+            return None
     return L, ell0, flags
 
 
@@ -343,16 +325,25 @@ def qcc_burst_limit(codes, construction: str) -> QccReport:
     return _sweep_report(*_components(codes, construction), construction)
 
 
-def _sweep_report(K: int, sweeps, construction: str, floor: int = 0) -> QccReport:
+def _sweep_report(K: int, sweeps, construction: str,
+                  delta_max: int | None = None) -> QccReport | None:
     """The report of a checked construction (`_components` gives K and the
-    sweeps).  Each sweep gets `floor`, so a report whose L is below it is
-    partial (see `_component_sweep`); floor 0 gives the exact report."""
-    results = [_component_sweep(*sweep, floor) for sweep in sweeps]
+    sweeps), or None when its delta is above `delta_max`.  delta <= D iff
+    L >= ceil((n - K - D) / 4), so each sweep gets that floor, and a pair
+    stops at its first component below it."""
+    n = sweeps[0][0].n
+    floor = 0 if delta_max is None else -(-(n - K - delta_max) // 4)
+    results = []
+    for sweep in sweeps:
+        result = _component_sweep(*sweep, floor)
+        if result is None:
+            return None
+        results.append(result)
     L = min(L for L, _, _ in results)
     ell0 = min(ell0 for _, ell0, _ in results)
     flags = tuple(sorted(set.intersection(*(set(flags) for _, _, flags in results))))
     gens = tuple(code.g for code, _ in sweeps)
-    report = QccReport(sweeps[0][0].n, K, L, ell0, construction, gens, flags)
+    report = QccReport(n, K, L, ell0, construction, gens, flags)
     if report.delta < 0:
         raise AssertionError("computed limit violates the quantum Reiger bound")
     return report

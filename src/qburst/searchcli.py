@@ -10,20 +10,21 @@ table fixtures; the CLI.
 Generator polynomials are written in the compact table notation
 "(1^6 2^3 1^0)": each term is coefficient^exponent with coefficients
 1..3 encoding 1, w, w^2 of GF(4) (only 1 is legal over GF(2)), exponents
-strictly decreasing, ending at 0, and at most MAX_LENGTH.
+strictly decreasing, ending at 0, and at most MAX_LENGTH.  Both directions
+of the codec live here: `qccburst` computes and writes no text.
 
 The search takes each length's dual-containing codes, with their orbit
 keys, from `cycliccode.dual_containing_codes`, checks each code's
-construction, and emits reports sorted canonically.  The burst-limit sweep
+construction, and emits reports in one canonical order, that of their
+emitted rows (`_canonical`).  The burst-limit sweep
 runs once per orbit of the group that reversing positions, conjugating
 digits and, over GF(4) with 3 | n, the twist x -> wx generate (the key:
 the least of a code's factor mask and its up to 11 images): each map
 keeps burst lengths and commutes with the partner map conj o rev that
 fixes the stabilizer, so every member shares K and the limits of the
-first, and its report is built from those and its own generator.
+first, and its report is the first one's with its own generator.
 With `--delta-max` a sweep stops as soon as its L has fallen below what
-that delta needs; the partial report of such an orbit fails the delta
-filter, so neither it nor any member is emitted (`search`).
+that delta needs, and that orbit gets no report: nothing is partial.
 """
 
 from __future__ import annotations
@@ -32,14 +33,15 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 from .cycliccode import MAX_LENGTH, code_from_generator, dual_containing_codes
 from .galois import GF2, GF4, FieldSpec
 from .polyring import Polynomial
-from .qccburst import QccReport, _components, _sweep_report, _table_notation, qcc_burst_limit
+from .qccburst import QccReport, _components, _sweep_report, qcc_burst_limit
 from .qetd import QetdStats, burst_census
 from .qrsburst import rs_image_burst_limit, rs_make
 
@@ -79,8 +81,17 @@ def parse_generator(text: str, field: FieldSpec) -> Polynomial:
 
 
 def emit_generator(p: Polynomial) -> str:
-    """Inverse of parse_generator (round-trips exactly)."""
-    return _table_notation(p)
+    """Table notation "(c^e ...)": the nonzero coefficients c of p by
+    decreasing exponent e.  A coefficient above 3 has no notation.
+    parse_generator reads the text back to p whenever p can be a
+    generator (nonzero constant term, degree at most MAX_LENGTH)."""
+    coeffs = p.coeffs
+    if not coeffs:
+        raise ValueError("cannot emit the zero polynomial")
+    if max(coeffs) > 3:
+        raise ValueError(f"coefficient {max(coeffs)} has no table notation (1..3)")
+    terms = [f"{c}^{e}" for e, c in enumerate(coeffs) if c][::-1]
+    return "(" + " ".join(terms) + ")"
 
 
 def _codes(n: int, gens, construction: str):
@@ -123,44 +134,25 @@ class SearchJob:
         return [n for n in range(max(self.n_min, 2), self.n_max + 1) if n % 2 == 1]
 
 
-def _report_sort_key(r: QccReport):
-    return (r.n, r.K, r.construction, r.notation)
-
-
 def search(job: SearchJob) -> list[QccReport]:
     """All dual-containing cyclic codes in range with delta <= delta_max,
-    sorted canonically.  Every code is built and passes the construction
-    check; the first member of each orbit is swept, and the others take
-    its report with their own generator.
-
-    delta = n - K - 4L <= delta_max holds iff L >= floor =
-    ceil((n - K - delta_max) / 4), so the sweep stops at the first
-    nondegenerate shift whose d(T) is below the floor, and runs no shift
-    when the floor is above the Reiger cap r // 2 (every odd r at
-    delta_max 0).  The report of such an orbit is partial, but its L is
-    below the floor, hence its delta above delta_max: the filter below
-    drops it, and the other members of a dropped orbit are checked but
-    get no report.  Without delta_max the floor is 0 and every report is
-    exact."""
+    in canonical order.  Every code is built and passes the construction
+    check; the first member of each orbit is swept, and the others copy
+    its report with their own generator.  An orbit whose sweep returns
+    None (its delta is above delta_max) gets no report."""
     field, construction = FIELDS[job.field], CONSTRUCTIONS[job.field]
     reports = []
     for n in job.lengths():
-        orbits: dict[int, QccReport | None] = {}  # None: the orbit fails the filter
+        orbits: dict[int, QccReport | None] = {}
         for code, key in dual_containing_codes(n, field):
             K, sweeps = _components(code, construction)
             if key in orbits:
-                first = orbits[key]
-                if first is not None:
-                    reports.append(QccReport(n, K, first.L, first.ell0, construction,
-                                             (code.g,), first.flags))
-                continue
-            floor = 0 if job.delta_max is None else -(-(n - K - job.delta_max) // 4)
-            report = _sweep_report(K, sweeps, construction, floor)
-            passed = job.delta_max is None or report.delta <= job.delta_max
-            orbits[key] = report if passed else None
-            if passed:
+                report = orbits[key] and replace(orbits[key], generators=(code.g,))
+            else:
+                report = orbits[key] = _sweep_report(K, sweeps, construction, job.delta_max)
+            if report is not None:
                 reports.append(report)
-    return sorted(reports, key=_report_sort_key)
+    return sorted(reports, key=lambda r: _canonical(report_as_dict(r)))
 
 
 def report_as_dict(r: QccReport) -> dict:
@@ -171,24 +163,25 @@ def report_as_dict(r: QccReport) -> dict:
         "ell0": r.ell0,
         "delta": r.delta,
         "construction": r.construction,
-        "generators": list(r.notation),
+        "generators": [emit_generator(g) for g in r.generators],
         "flags": list(r.flags),
     }
 
 
+# The canonical order of reports: that of their emitted rows.
+_canonical = itemgetter("n", "K", "construction", "generators")
+
+
 def report_emit(reports, fmt: str = "json") -> bytes:
-    """Byte-stable serialization of a report stream."""
-    reports = sorted(reports, key=_report_sort_key)
+    """Byte-stable serialization of a report stream, in canonical order."""
+    rows = sorted(map(report_as_dict, reports), key=_canonical)
     if fmt == "json":
-        payload = json.dumps(
-            [report_as_dict(r) for r in reports], sort_keys=True, indent=1
-        )
-        return (payload + "\n").encode()
+        return (json.dumps(rows, sort_keys=True, indent=1) + "\n").encode()
     if fmt == "csv":
         lines = ["delta,code,L,generators"]
-        for r in reports:
-            gens = ";".join(r.notation)
-            lines.append(f'{r.delta},"[[{r.n},{r.K}]]",{r.L},"{gens}"')
+        for row in rows:
+            gens = ";".join(row["generators"])
+            lines.append(f'{row["delta"]},"[[{row["n"]},{row["K"]}]]",{row["L"]},"{gens}"')
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
 

@@ -17,7 +17,13 @@ from qburst.cycliccode import (
     syndrome,
     vector_poly,
 )
-from qburst.qccburst import NotDualContaining, _components, degeneracy_check, qcc_burst_limit
+from qburst.qccburst import (
+    NotDualContaining,
+    _components,
+    _sweep_report,
+    degeneracy_check,
+    qcc_burst_limit,
+)
 from qburst.qetd import (
     QetdStats,
     _PackedDecoder,
@@ -300,6 +306,11 @@ def test_css_pair_limits_match_span_oracle():
                 except NotDualContaining:
                     continue
                 assert rep.L == _css_limit_oracle(c1, c2), (c1, c2)
+                # the delta floor: the exact report at delta_max = delta,
+                # and none (no partial one) just below it
+                K, sweeps = _components((c1, c2), "css")
+                assert _sweep_report(K, sweeps, "css", rep.delta) == rep, (c1, c2)
+                assert _sweep_report(K, sweeps, "css", rep.delta - 1) is None, (c1, c2)
                 checked += 1
     assert checked > 100
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import qburst
 from qburst.cycliccode import code_from_generator
-from qburst.galois import GF2, GF4
+from qburst.galois import GF2, GF4, field_make
 from qburst.polyring import Polynomial, divisor_generators
 from qburst.qccburst import NotDualContaining, qcc_burst_limit
 from qburst.searchcli import (
@@ -69,6 +70,13 @@ def test_emit_examples():
     assert emit_generator(Polynomial.one(GF4)) == "(1^0)"
     with pytest.raises(ValueError):
         emit_generator(Polynomial.zero(GF4))
+    # the notation has coefficients 1..3 only: a larger one over GF(16) is
+    # one error line naming it, not text that parse_generator rejects
+    with pytest.raises(ValueError, match="coefficient 12 ") as exc:
+        emit_generator(Polynomial.make(field_make(4), [5, 0, 12, 1]))
+    assert "\n" not in str(exc.value)
+    p = Polynomial.make(field_make(4), [3, 0, 2, 1])
+    assert parse_generator(emit_generator(p), field_make(4)) == p
 
 
 @settings(max_examples=300)
@@ -133,7 +141,7 @@ def test_search_orbit_members_match_direct_limits(field, lengths, count):
     assert len(reports) == count
     for r in reports:
         (g,) = r.generators
-        assert parse_generator(r.notation[0], f) == g
+        assert parse_generator(emit_generator(g), f) == g
         direct = qcc_burst_limit(code_from_generator(r.n, g), r.construction)
         assert (r.K, r.L, r.ell0, r.flags) == (direct.K, direct.L, direct.ell0, direct.flags), r
 
@@ -192,6 +200,15 @@ def test_report_emit_shapes():
         assert obj["delta"] == obj["n"] - obj["K"] - 4 * obj["L"]
     again = report_emit(reports, "json")
     assert payload == again
+    # report_emit sorts on its own: a multi-length, multi-K stream emits the
+    # same bytes reversed and shuffled as in the order search returns it
+    reports = search(SearchJob(3, 21, "gf4"))
+    assert len({(r.n, r.K) for r in reports}) > len({r.n for r in reports}) > 1
+    shuffled = list(reports)
+    random.Random(38).shuffle(shuffled)
+    for fmt in ("json", "csv"):
+        expected = report_emit(reports, fmt)
+        assert report_emit(reports[::-1], fmt) == report_emit(shuffled, fmt) == expected
     with pytest.raises(ValueError):
         report_emit(reports, "yaml")
 
