@@ -35,7 +35,6 @@ Conventions (0-based positions throughout):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterator
@@ -49,11 +48,17 @@ from .polyring import Polynomial, factor_xn_minus_1
 MAX_LENGTH = 65535
 
 
-@dataclass(frozen=True)
 class CyclicCode:
-    n: int
-    field: FieldSpec
-    g: Polynomial
+    def __init__(self, n: int, field: FieldSpec, g: Polynomial):
+        self.n, self.field, self.g = n, field, g
+
+    def __eq__(self, other):
+        if other.__class__ is not CyclicCode:
+            return NotImplemented
+        return self.n == other.n and self.g == other.g and self.field == other.field
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.field, self.g))
 
     @property
     def r(self) -> int:

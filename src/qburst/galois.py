@@ -20,7 +20,6 @@ packed polynomials and packed matrix columns scale through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 # The modulus of each extension degree: the Conway polynomials (the
@@ -216,22 +215,28 @@ OMEGA = 2
 OMEGA_BAR = 3
 
 
-@dataclass(frozen=True)
 class SelfDualBasis:
-    """A basis a_1..a_m of GF(2^m) over GF(2) with Tr(a_i a_j) = delta_ij."""
+    """A basis a_1..a_m of GF(2^m) over GF(2) with Tr(a_i a_j) = delta_ij,
+    checked on construction.  A value: `qrsburst` caches image tables by it."""
 
-    field: FieldSpec
-    elements: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        m = self.field.m
-        for a in self.elements:
-            self.field.check(a)
+    def __init__(self, field: FieldSpec, elements: tuple[int, ...]):
+        self.field, self.elements = field, elements
+        m = field.m
+        for a in elements:
+            field.check(a)
         gram = self.gram()
         if len(self.elements) != m or any(
             gram[i][j] != (i == j) for i in range(m) for j in range(m)
         ):
             raise ValueError(f"{self.elements} is not a self-dual basis of GF(2^{m})")
+
+    def __eq__(self, other):
+        if other.__class__ is not SelfDualBasis:
+            return NotImplemented
+        return self.elements == other.elements and self.field == other.field
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.elements))
 
     def gram(self) -> list[list[int]]:
         return [

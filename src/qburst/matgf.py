@@ -25,9 +25,9 @@ that cancels to zero is free, and its expression is its combination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import lshift, xor
+from typing import NamedTuple
 
 from .galois import FieldSpec, _times
 
@@ -37,8 +37,7 @@ def _pack(field: FieldSpec, vectors) -> tuple[int, ...]:
     return tuple(sum(map(lshift, v, range(0, len(v) * field.m, field.m))) for v in vectors)
 
 
-@dataclass(frozen=True)
-class MatrixGF:
+class MatrixGF(NamedTuple):
     field: FieldSpec
     rows: int
     columns: tuple[int, ...]  # column j packed, row i in digit i
@@ -100,8 +99,7 @@ def product_is_zero(a: MatrixGF, b: MatrixGF) -> bool:
     return a.matmul(b).is_zero
 
 
-@dataclass(frozen=True)
-class ReducedForm:
+class ReducedForm(NamedTuple):
     """Result of Gaussian elimination with leftmost-greedy pivoting.
 
     combination[j] gives, for each free (non-pivot) column j, the

@@ -31,7 +31,6 @@ cyclic code of length n is a subset product of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import count, islice, product
 from math import gcd, prod
@@ -41,7 +40,6 @@ from typing import Callable, Iterator
 from .galois import FieldSpec, _times, _xor_sums
 
 
-@dataclass(frozen=True)
 class Polynomial:
     """Dense polynomial over `field`; ``bits`` packs coefficient i
     (integer-encoded) into bits i*m .. i*m + m - 1.
@@ -50,11 +48,20 @@ class Polynomial:
     builds from a coefficient sequence, low degree first, and checks each
     coefficient, since a digit >= q would spill into its neighbour; the raw
     constructor takes a packed int as it is.  ``coeffs`` reads the
-    coefficients back as a tuple without trailing zeros.
+    coefficients back as a tuple without trailing zeros.  A value, equal by
+    field and bits; its cached properties live in its ``__dict__``.
     """
 
-    field: FieldSpec
-    bits: int
+    def __init__(self, field: FieldSpec, bits: int):
+        self.field, self.bits = field, bits
+
+    def __eq__(self, other):
+        if other.__class__ is not Polynomial:
+            return NotImplemented
+        return self.bits == other.bits and self.field == other.field
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.bits))
 
     # -- constructors ---------------------------------------------------------
 

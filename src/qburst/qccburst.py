@@ -74,8 +74,8 @@ independent oracle for small lengths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .cycliccode import (
     CyclicCode,
@@ -217,8 +217,7 @@ def degeneracy_check(code: CyclicCode, e, f, *, dual_of: CyclicCode | None = Non
     return (diff % (dual_of if dual_of is not None else code).stabilizer).is_zero
 
 
-@dataclass(frozen=True)
-class QccReport:
+class QccReport(NamedTuple):
     """Computed burst limits of one quantum cyclic code."""
 
     n: int

@@ -50,9 +50,9 @@ from at most 3 * 4^(deg s) weighted keys, not one per pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from operator import add, itemgetter
+from typing import NamedTuple
 
 from .cycliccode import CyclicCode, burst_count
 from .galois import GF4, _xor_sums
@@ -120,8 +120,7 @@ def trap_decode(S: Polynomial, code: CyclicCode) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QetdStats:
+class QetdStats(NamedTuple):
     """Decoding census over all bursts of length 1..lmax."""
 
     n: int

@@ -36,9 +36,9 @@ x^n - 1, which is in the (cyclic) Euclidean dual iff e - f is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
+from typing import NamedTuple
 
 from .cycliccode import CyclicCode, code_from_generator, in_euclidean_dual
 from .galois import FieldSpec, SelfDualBasis, _times, field_make, self_dual_basis
@@ -47,8 +47,7 @@ from .polyring import Polynomial, _shift_bases
 from .qccburst import NotDualContaining, window_pairs
 
 
-@dataclass(frozen=True)
-class RsCode:
+class RsCode(NamedTuple):
     """A narrow-sense RS code prepared for quantum image analysis."""
 
     m: int
@@ -140,8 +139,7 @@ def image_expand(v, basis: SelfDualBasis) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RsReport:
+class RsReport(NamedTuple):
     m: int
     n: int
     K: int

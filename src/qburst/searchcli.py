@@ -29,12 +29,9 @@ that delta needs, and that orbit gets no report: nothing is partial.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
-from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 
@@ -82,12 +79,14 @@ def parse_generator(text: str, field: FieldSpec) -> Polynomial:
 
 def emit_generator(p: Polynomial) -> str:
     """Table notation "(c^e ...)": the nonzero coefficients c of p by
-    decreasing exponent e.  A coefficient above 3 has no notation.
-    parse_generator reads the text back to p whenever p can be a
-    generator (nonzero constant term, degree at most MAX_LENGTH)."""
+    decreasing exponent e, for a p that can be a generator (nonzero constant
+    term, degree at most MAX_LENGTH, coefficients 1..3; anything else is a
+    one-line ValueError): parse_generator reads it back to p."""
+    if not p.coeff(0):
+        raise ValueError("a generator has a nonzero constant term")
+    if p.degree > MAX_LENGTH:
+        raise ValueError(f"generator degree {p.degree} above {MAX_LENGTH}, the longest code length")
     coeffs = p.coeffs
-    if not coeffs:
-        raise ValueError("cannot emit the zero polynomial")
     if max(coeffs) > 3:
         raise ValueError(f"coefficient {max(coeffs)} has no table notation (1..3)")
     terms = [f"{c}^{e}" for e, c in enumerate(coeffs) if c][::-1]
@@ -114,16 +113,17 @@ def _codes(n: int, gens, construction: str):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SearchJob:
-    n_min: int
-    n_max: int
-    field: str  # "gf2" | "gf4"
-    delta_max: int | None = None
+    def __init__(self, n_min: int, n_max: int, field: str, delta_max: int | None = None):
+        if field not in FIELDS:
+            raise ValueError(f"unknown field {field!r}; expected gf2 or gf4")
+        self.n_min, self.n_max, self.field, self.delta_max = n_min, n_max, field, delta_max
 
-    def __post_init__(self):
-        if self.field not in FIELDS:
-            raise ValueError(f"unknown field {self.field!r}; expected gf2 or gf4")
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is SearchJob else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
     def lengths(self) -> list[int]:
         if self.n_min < 1:
@@ -147,7 +147,7 @@ def search(job: SearchJob) -> list[QccReport]:
         for code, key in dual_containing_codes(n, field):
             K, sweeps = _components(code, construction)
             if key in orbits:
-                report = orbits[key] and replace(orbits[key], generators=(code.g,))
+                report = orbits[key] and orbits[key]._replace(generators=(code.g,))
             else:
                 report = orbits[key] = _sweep_report(K, sweeps, construction, job.delta_max)
             if report is not None:
@@ -215,6 +215,7 @@ def _census(n: int, gen: str, construction: str, lmax: int | None) -> QetdStats:
 
 
 def fixtures_dir() -> Path:
+    from importlib import resources  # here, not on import: from Python 3.12 it loads inspect
     return Path(str(resources.files("qburst").joinpath("fixtures")))
 
 
@@ -258,7 +259,7 @@ _TABLES = (
      lambda row: _rs(int(row["m"]), int(row["K"]))),
     ("table4.tsv", "construction nk decoded exact total gen flags", "table4 {nk}",
      "ND={decoded},N0={exact},N={total}",
-     lambda row: vars(_census(row["n"], row["gen"], row["construction"], None))),
+     lambda row: _census(row["n"], row["gen"], row["construction"], None)._asdict()),
 )
 
 
@@ -351,15 +352,16 @@ def _cmd_verify_tables(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ValueError, so `main` reports them as one
-    `error:` line and exit 1; subparsers are built from this class too."""
+def build_parser():
+    import argparse  # here, not on import: only the CLI loads it
 
-    def error(self, message):
-        raise ValueError(message)
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors raise ValueError, so `main` reports them as one
+        `error:` line and exit 1; subparsers are built from this class too."""
 
+        def error(self, message):
+            raise ValueError(message)
 
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qburst",
         description="Burst error correction limits and decoding of quantum cyclic codes",

@@ -256,6 +256,19 @@ def test_twist_keeps_every_limit():
     assert codes == 320
 
 
+def test_codes_are_values():
+    # equal length, field and generator: equal and equally hashed, however
+    # built; the cached properties, filled in or computed, are kept in vars()
+    g = P(GF4, 1, 2, 1)
+    a, b = code_from_generator(5, g), CyclicCode(5, GF4, P(GF4, 1, 2, 1))
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != CyclicCode(15, GF4, g) and a != CyclicCode(5, GF4, P(GF4, 1, 3, 1))
+    assert a != (5, GF4, g) and a.__eq__(g) is NotImplemented
+    assert "h" in vars(a) and "h" not in vars(b) and a.h == b.h
+    assert "stabilizer" not in vars(a)
+    assert a.stabilizer is vars(a)["stabilizer"] and b.h is vars(b)["h"]
+
+
 @pytest.mark.parametrize("field", [GF4, GF2], ids=["gf4", "gf2"])
 def test_tree_stabilizer_is_the_conjugated_dual_generator(field):
     # the s that the enumeration tree grows on the factor mask, stored in

@@ -116,6 +116,21 @@ def test_make_rejects_digits_outside_the_field(field):
                 Polynomial.make(field, coeffs)
 
 
+def test_polynomials_are_values():
+    # equal field and bits: equal and equally hashed; a polynomial equals
+    # nothing of another class, not even the tuple of its field and bits;
+    # the cached properties are kept in vars()
+    a, b = Polynomial.make(GF4, [1, 2, 3]), Polynomial(GF4, 0b111001)
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Polynomial(GF2, a.bits) and a != Polynomial(GF4, a.bits ^ 1)
+    for other in ((GF4, a.bits), a.bits, code_from_generator(1, Polynomial.one(GF4))):
+        assert a != other and a.__eq__(other) is NotImplemented
+    assert "coeffs" not in vars(b)
+    assert b.coeffs == (1, 2, 3) and vars(b)["coeffs"] is b.coeffs
+    a * b
+    assert "_multiples" in vars(b) and "_multiples" not in vars(a)
+
+
 def test_scale_and_monic_build_no_multiple_table():
     # over GF(2^16) the table of all q multiples of a long polynomial takes
     # gigabytes; one scaling needs only the m doublings

@@ -204,6 +204,19 @@ def test_generator_count_checked():
         qcc_burst_limit((hamming,) * 3, "css")
 
 
+def test_report_is_a_named_tuple():
+    # _replace keeps every other field, so the derived delta too; a report
+    # equals the plain tuple of its values, and _asdict names them
+    rep = qcc_burst_limit(CODE15, "hermitian")
+    other = make4(15, "(1^6 3^3 1^0)")
+    copy = rep._replace(generators=(other.g,))
+    assert copy.generators == (other.g,) and copy != rep
+    assert (copy.n, copy.K, copy.L, copy.ell0, copy.flags) == (rep.n, rep.K, rep.L, rep.ell0, rep.flags)
+    assert copy.delta == rep.delta == reiger_delta(15, rep.K, rep.L)
+    assert rep == tuple(rep) and list(rep._asdict()) == list(rep._fields)
+    assert rep._asdict()["generators"] == (CODE15.g,)
+
+
 def test_reiger_delta():
     assert reiger_delta(15, 3, 3) == 0
     assert reiger_delta(21, 9, 3) == 0  # the arithmetic, independent of any table

@@ -11,6 +11,7 @@ from qburst.polyring import Polynomial, _shift_bases
 from qburst.qccburst import NotDualContaining, window_pairs
 from qburst.qrsburst import (
     RsReport,
+    _span_tables,
     _window_base_pairs,
     _window_kernel,
     image_expand,
@@ -251,6 +252,21 @@ def test_reference_basis_is_self_dual():
         assert all(
             gram[i][j] == (1 if i == j else 0) for i in range(m) for j in range(m)
         )
+
+
+def test_equal_bases_share_one_image_table_entry():
+    # two bases built separately from the same elements are one value, so
+    # the image tables cached by basis are computed once for both
+    f = field_make(7)
+    elements = self_dual_basis(f).elements
+    a, b = SelfDualBasis(f, elements), SelfDualBasis(f, tuple(list(elements)))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != SelfDualBasis(f, elements[1:] + elements[:1]) and a != (f, elements)
+    tables = _span_tables(a)
+    hits, size = _span_tables.cache_info().hits, _span_tables.cache_info().currsize
+    assert _span_tables(b) is tables
+    assert _span_tables.cache_info().hits == hits + 1
+    assert _span_tables.cache_info().currsize == size
 
 
 def test_self_dual_basis_checks_itself():

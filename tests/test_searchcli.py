@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import qburst
-from qburst.cycliccode import code_from_generator
+from qburst.cycliccode import MAX_LENGTH, code_from_generator
 from qburst.galois import GF2, GF4, field_make
 from qburst.polyring import Polynomial, divisor_generators
 from qburst.qccburst import NotDualContaining, qcc_burst_limit
@@ -77,18 +77,35 @@ def test_emit_examples():
     assert "\n" not in str(exc.value)
     p = Polynomial.make(field_make(4), [3, 0, 2, 1])
     assert parse_generator(emit_generator(p), field_make(4)) == p
+    # nor has a polynomial that cannot be a generator: x, with its zero
+    # constant term, and a degree above the longest code length
+    for p in (Polynomial.x_pow(GF2, 1), Polynomial(GF2, 1 | 1 << MAX_LENGTH + 1)):
+        with pytest.raises(ValueError, match="constant term|degree 65536 above") as exc:
+            emit_generator(p)
+        assert "\n" not in str(exc.value)
+    assert emit_generator(Polynomial(GF2, 1 | 1 << MAX_LENGTH)) == "(1^65535 1^0)"
 
 
-@settings(max_examples=300)
-@given(st.lists(st.integers(0, 3), min_size=0, max_size=10))
-def test_roundtrip(coeffs):
-    coeffs = [c if c else 1 for c in coeffs[:1]] + coeffs[1:]  # nonzero constant
-    if not coeffs:
-        coeffs = [1]
-    p = Polynomial.make(GF4, coeffs)
-    if p.is_zero or p.coeff(0) == 0:
-        return
-    assert parse_generator(emit_generator(p), GF4) == p
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda m: st.tuples(
+    st.just(field_make(m)),
+    # coefficients up to 3 (the notation's) or up to q - 1
+    st.sampled_from([min(3, (1 << m) - 1), (1 << m) - 1]).flatmap(
+        lambda top_digit: st.lists(st.integers(0, top_digit), max_size=12)),
+    st.sampled_from([0, 5, 40, MAX_LENGTH, MAX_LENGTH + 1]),
+)))
+def test_roundtrip(drawn):
+    # over every field, emit_generator refuses, in one line, exactly the
+    # polynomials that cannot be generators, and parse_generator reads
+    # everything else back
+    field, coeffs, top = drawn
+    p = Polynomial.make(field, coeffs) + Polynomial.x_pow(field, top)
+    if p.coeff(0) and p.degree <= MAX_LENGTH and max(p.coeffs) <= 3:
+        assert parse_generator(emit_generator(p), field) == p
+    else:
+        with pytest.raises(ValueError) as exc:
+            emit_generator(p)
+        assert "\n" not in str(exc.value)
 
 
 def test_search_includes_known_codes():
@@ -170,24 +187,43 @@ def test_search_empty_stream():
     assert search(SearchJob(3, 3, "gf4", 2)) == []
 
 
+def test_search_jobs_are_values():
+    job = SearchJob(3, 9, "gf4", 2)
+    assert job == SearchJob(3, 9, "gf4", 2) and hash(job) == hash(SearchJob(3, 9, "gf4", 2))
+    assert job != SearchJob(3, 9, "gf4") and job != (3, 9, "gf4", 2)
+
+
 def test_search_job_rejects_unknown_field():
     with pytest.raises(ValueError, match="unknown field 'gf8'; expected gf2 or gf4"):
         SearchJob(3, 9, "gf8")
 
 
-def test_import_starts_no_process_machinery():
-    # search runs serially, so a fresh interpreter's `import qburst` loads
-    # neither multiprocessing nor concurrent.futures
+def _run_fresh(*args):
+    """A fresh interpreter on this package's source, with these arguments."""
     src = str(Path(qburst.__file__).resolve().parents[1])
-    code = (
-        "import sys, qburst; print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
-    )
-    run = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
+
+
+def test_import_starts_no_process_machinery():
+    # search runs serially, so a fresh interpreter's `import qburst` loads
+    # neither multiprocessing nor concurrent.futures; nor dataclasses (and
+    # with it inspect), which no type uses, nor argparse, which only the CLI
+    # loads
+    code = (
+        "import sys, qburst; print(sorted(m for m in sys.modules if m.split('.')[0] in"
+        " ('multiprocessing', 'concurrent', 'dataclasses', 'inspect', 'argparse')))"
+    )
+    run = _run_fresh("-c", code)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+def test_help_prints_usage():
+    run = _run_fresh("-m", "qburst", "--help")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("usage: qburst ") and "verify-tables" in run.stdout
 
 
 def test_report_emit_shapes():
@@ -554,6 +590,13 @@ _LENGTH = st.integers(-1, 25)
 _MALFORMED = st.text(alphabet="()^0123 ", max_size=10)
 
 
+def _notation(coeffs) -> str:
+    """Table notation of any coefficient list, low degree first, with a
+    nonzero entry: also the texts that are no generator, such as (1^1),
+    which emit_generator refuses to write."""
+    return "(" + " ".join(f"{c}^{e}" for e, c in reversed(list(enumerate(coeffs))) if c) + ")"
+
+
 @st.composite
 def _generator_text(draw, n: int, field: str):
     """A divisor of x^n - 1 in table notation, or an arbitrary notation."""
@@ -563,7 +606,7 @@ def _generator_text(draw, n: int, field: str):
         return emit_generator(draw(st.sampled_from(divisors)))
     coeffs = draw(st.lists(st.integers(0, f.q - 1), min_size=1, max_size=max(n, 0) + 2))
     if any(coeffs):
-        return emit_generator(Polynomial.make(f, coeffs))
+        return _notation(coeffs)
     return draw(_MALFORMED)
 
 
